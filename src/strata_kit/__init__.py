@@ -74,7 +74,6 @@ from .strata import (
     ring_presentation,
     tangent_dim,
 )
-from .cli import parse_expression
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -284,7 +284,7 @@ def _cmd_dual(args) -> None:
 def _cmd_poset(args) -> None:
     m = _load_multisegment(args.input)
     poset = downset(m, node_bound=_budget(args, DEFAULT_NODE_BOUND))
-    if args.dot or args.format == "dot":
+    if args.dot:
         _emit(args, poset.to_dot())
     else:
         _emit(args, _render(args, poset.to_json()))
@@ -354,8 +354,8 @@ def _cmd_enumerate(args) -> None:
     _emit(args, _render(args, [m.to_json() for m in out]))
 
 
-def _add_common(sub: argparse.ArgumentParser, formats=("json", "table")) -> None:
-    sub.add_argument("--format", choices=formats, default="json")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", choices=("json", "table"), default="json")
     sub.add_argument("--out", help="write output to this path instead of stdout")
     sub.add_argument("--budget", type=int, help="override the enumeration bound")
 
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("poset", help="elementary-reduction poset below a multisegment")
     p.add_argument("input")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    _add_common(p, formats=("json", "table", "dot"))
+    _add_common(p)
     p.set_defaults(func=_cmd_poset)
 
     p = subs.add_parser("strata", help="inertial components of a stratum")

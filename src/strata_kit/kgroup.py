@@ -6,25 +6,28 @@ group.  A term is a commutative product of such classes; a graded virtual
 element assigns an integer combination of terms to each derivative order.
 Derivatives follow the Leibniz rule, with each class contributing its
 known graded derivative: a single segment has exactly one positive-degree
-derivative Z(segment)^(n) = Z(segment minus top twist), and the
+derivative Z(segment)^(n) = Z(segment minus top twist), the
 singleton-over-segment shape Z({[c,c],[a,c-1]}) has the two extra degrees
-established by the composition and juxtaposition lemmas below.
+established by the composition and juxtaposition lemmas below, and a
+pairwise-unlinked multisegment is the product of its segments' classes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ShapeError
 from .multisegments import Multisegment, lambda_of
 from .partitions import Partition
-from .segments import EMPTY_SEGMENT, Segment, relate, top_minus, union_and_intersection
+from .segments import Segment, relate, top_minus
 
 # A term is a commutative product of irreducible classes, stored as a
 # canonically sorted tuple of atoms; the empty tuple is the trivial class.
-Atom = Multisegment
 Term = tuple
+
+MAX_REWRITE_STEPS = 10000
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ def _add_term(acc: dict, term: Term, coeff: int) -> None:
 def _term_str(term: Term) -> str:
     if not term:
         return "1"
-    return " * ".join(f"Z{a}" for a in term)
+    return " * ".join(str(a) if isinstance(a, OpaqueDerivative) else f"Z{a}" for a in term)
 
 
 @dataclass(frozen=True)
@@ -131,67 +134,81 @@ class GradedVirtual:
         return "; ".join(chunks)
 
 
-def _lemcomp_shape(atom: Multisegment) -> Optional[tuple[Segment, Segment]]:
-    """Match Z({[c,c], [a,c-1]}) on one infinite-period line; return (top, lower)."""
-    if len(atom.segments) != 2:
-        return None
-    top, lower = atom.segments
-    if not (top.infinite_period and lower.infinite_period):
-        return None
-    if not top.same_line(lower):
-        return None
-    if top.length == 1 and lower.b == top.a - 1:
-        return top, lower
-    return None
+def _mul(acc: dict[Term, int], x: dict[Term, int], y: dict[Term, int]) -> dict[Term, int]:
+    """Add the product of two term combinations into acc and return acc."""
+    for t1, c1 in x.items():
+        for t2, c2 in y.items():
+            _add_term(acc, _sorted_term(t1 + t2), c1 * c2)
+    return acc
 
 
-def atom_derivative(atom: Multisegment) -> Optional[dict[int, list[tuple[Term, int]]]]:
+def _leibniz(tables) -> dict[int, dict[Term, int]]:
+    """Graded product of graded derivative tables (the Leibniz rule)."""
+    result: dict[int, dict[Term, int]] = {0: {(): 1}}
+    for table in tables:
+        nxt: dict[int, dict[Term, int]] = {}
+        for g1, x in result.items():
+            for g2, y in table.items():
+                _mul(nxt.setdefault(g1 + g2, {}), x, y)
+        result = nxt
+    return result
+
+
+def _unlinked(pairs) -> bool:
+    """No pair of segments is linked: their product is irreducible (Zelevinsky)."""
+    return not any(relate(x, y).linked for x, y in pairs)
+
+
+def _is_lemcomp(top: Segment, lower: Segment) -> bool:
+    """The composition-lemma shape {[c,c], [a,c-1]} on one infinite-period line."""
+    return (
+        top.length == 1
+        and top.infinite_period
+        and top.same_line(lower)
+        and lower.b == top.a - 1
+    )
+
+
+def _composition(top: Segment, lower: Segment) -> tuple[Multisegment, Multisegment]:
+    """Degree-k and degree-2k derivatives of Z({top, lower}) in the lemcomp shape."""
+    shorter = top_minus(lower)
+    return Multisegment.of(top, shorter), Multisegment.of(shorter)
+
+
+def _juxtaposed(d1: Segment, d2: Segment) -> list[Multisegment]:
+    """Constituents of Z(d1) x Z(d2) for d2 juxtaposed and preceding d1."""
+    return [Multisegment.of(d1, d2), Multisegment.of(Segment(d1.cuspidal, d2.a, d1.b))]
+
+
+def atom_derivative(atom: Multisegment) -> Optional[dict[int, dict[Term, int]]]:
     """Complete graded derivative of an irreducible class, or None if unknown.
 
-    Known shapes: the trivial class, single segments, and the
-    singleton-over-segment shape handled by the composition lemma.
+    Known shapes: single segments, the singleton-over-segment shape handled
+    by the composition lemma, and pairwise-unlinked multisegments (the
+    trivial class among them), whose class is the product of their segments.
     """
     segs = atom.segments
-    if not segs:
-        return {0: [((), 1)]}
     if len(segs) == 1:
         d = segs[0]
-        return {
-            0: [((atom,), 1)],
-            d.dim: [(_sorted_term([Multisegment.of(top_minus(d))]), 1)],
-        }
-    shape = _lemcomp_shape(atom)
-    if shape is not None:
-        top, lower = shape
-        k = top.dim
-        mid = Multisegment.of(top, top_minus(lower))
-        bottom = Multisegment.of(top_minus(lower))
-        return {
-            0: [((atom,), 1)],
-            k: [(_sorted_term([mid]), 1)],
-            2 * k: [(_sorted_term([bottom]), 1)],
-        }
+        return {0: {(atom,): 1}, d.dim: {_sorted_term([Multisegment.of(top_minus(d))]): 1}}
+    if len(segs) == 2 and _is_lemcomp(*segs):
+        k = segs[0].dim
+        mid, bottom = _composition(*segs)
+        return {0: {(atom,): 1}, k: {(mid,): 1}, 2 * k: {_sorted_term([bottom]): 1}}
+    if atom.infinite_period and _unlinked(itertools.combinations(segs, 2)):
+        return _leibniz(atom_derivative(Multisegment.of(s)) for s in segs)
     return None
 
 
 def term_derivative(term: Term) -> Optional[GradedVirtual]:
     """Leibniz expansion of a product of atoms; None if any factor is unknown."""
-    result: dict[int, dict[Term, int]] = {0: {(): 1}}
+    tables = []
     for atom in term:
-        if isinstance(atom, OpaqueDerivative):
-            return None
-        table = atom_derivative(atom)
+        table = None if isinstance(atom, OpaqueDerivative) else atom_derivative(atom)
         if table is None:
             return None
-        nxt: dict[int, dict[Term, int]] = {}
-        for g1, combo in result.items():
-            for t1, c1 in combo.items():
-                for g2, pieces in table.items():
-                    for t2, c2 in pieces:
-                        layer = nxt.setdefault(g1 + g2, {})
-                        _add_term(layer, _sorted_term(t1 + t2), c1 * c2)
-        result = nxt
-    return GradedVirtual(result)
+        tables.append(table)
+    return GradedVirtual(_leibniz(tables))
 
 
 def total_derivative(t: ProductTerm) -> GradedVirtual:
@@ -216,31 +233,26 @@ def resolve_pair(d1: Segment, d2: Segment) -> list[Multisegment]:
     rel = relate(d2, d1)
     if not (rel.precedes and rel.juxtaposed):
         raise ShapeError("not a juxtaposed preceding pair")
-    union, _ = union_and_intersection(d1, d2)
-    return [Multisegment.of(d1, d2), Multisegment.of(union)]
+    return _juxtaposed(d1, d2)
 
 
 def lemcomp_derivative(rho_top: Segment, delta: Segment) -> Multisegment:
     """Degree-k derivative of Z({[c,c], delta}): replace delta by its top truncation."""
     if rho_top.is_empty or delta.is_empty:
         raise ShapeError("expected nonempty segments")
-    if not (
-        rho_top.length == 1
-        and rho_top.same_line(delta)
-        and rho_top.a == delta.b + 1
-    ):
+    if not _is_lemcomp(rho_top, delta):
         raise ShapeError("expected a singleton just above the segment's end")
-    return Multisegment.of(rho_top, top_minus(delta))
+    return _composition(rho_top, delta)[0]
 
 
 def weirdcase_constituents(alpha: int, delta: Segment) -> list[Multisegment]:
-    """Constituents of Z([a+1,a+1]-singleton at alpha+1) x Z({[alpha,alpha], delta}).
+    """Constituents of Z([alpha+1,alpha+1]) x Z({[alpha,alpha], delta}).
 
-    For delta = [0, alpha-1] the two constituents are
+    For any delta ending at alpha-1 the two constituents are
     {[alpha+1,alpha+1], [alpha,alpha], delta} and {[alpha,alpha+1], delta}.
     """
-    if delta.is_empty or delta.a != 0 or delta.b != alpha - 1:
-        raise ShapeError("expected the segment [0, alpha-1]")
+    if delta.is_empty or delta.b != alpha - 1:
+        raise ShapeError("expected a segment ending at alpha-1")
     line = delta.cuspidal
     s_mid = Segment(line, alpha, alpha)
     s_top = Segment(line, alpha + 1, alpha + 1)
@@ -298,11 +310,7 @@ def evaluate(expr: Expr) -> dict[Term, int]:
     if isinstance(expr, ProductExpr):
         acc = {(): 1}
         for sub in expr.factors:
-            nxt: dict[Term, int] = {}
-            for t1, c1 in acc.items():
-                for t2, c2 in evaluate(sub).items():
-                    _add_term(nxt, _sorted_term(t1 + t2), c1 * c2)
-            acc = nxt
+            acc = _mul({}, acc, evaluate(sub))
         return acc
     if isinstance(expr, DerivativeExpr):
         acc = {}
@@ -321,71 +329,54 @@ def evaluate(expr: Expr) -> dict[Term, int]:
     raise ShapeError(f"not an expression node: {expr!r}")
 
 
-def _try_rewrite_pair(a1: Multisegment, a2: Multisegment):
+def _try_rewrite_pair(a1: Multisegment, a2: Multisegment) -> Optional[list[Multisegment]]:
     """One rewriting step on a product of two classes, or None.
 
-    Rules: merge pairwise-unlinked classes into one; split a juxtaposed
-    preceding pair of single segments into its two constituents; split a
+    Rules: merge classes with no linked pair across them into one; split a
+    juxtaposed pair of single segments into its two constituents; split a
     singleton times a singleton-over-segment class into its two
-    constituents.  Each returns a list of (atoms, coeff) replacements.
+    constituents.  Each returns the classes whose sum replaces the product.
     """
-    if all(
-        not relate(s1, s2).linked and s1.infinite_period
-        for s1 in a1.segments
-        for s2 in a2.segments
-    ):
-        return [([a1.union(a2)], 1)]
+    if _unlinked(itertools.product(a1.segments, a2.segments)):
+        return [a1.union(a2)]
     if len(a1) == 1 and len(a2) == 1:
         s1, s2 = a1.segments[0], a2.segments[0]
         rel = relate(s2, s1)
-        if rel.juxtaposed and rel.precedes:
-            return [([m], 1) for m in resolve_pair(s1, s2)]
-        if rel.juxtaposed and rel.preceded_by:
-            return [([m], 1) for m in resolve_pair(s2, s1)]
+        if rel.juxtaposed:
+            return _juxtaposed(s1, s2) if rel.precedes else _juxtaposed(s2, s1)
     for single, other in ((a1, a2), (a2, a1)):
-        if len(single) != 1:
-            continue
-        s = single.segments[0]
-        shape = _lemcomp_shape(other)
-        if shape is None:
-            continue
-        top, lower = shape
-        if s.length == 1 and s.same_line(top) and s.a == top.a + 1:
-            pair = Segment(s.cuspidal, top.a, s.a)
-            return [
-                ([Multisegment.of(s, top, lower)], 1),
-                ([Multisegment.of(pair, lower)], 1),
-            ]
+        if (
+            len(single) == 1
+            and len(other) == 2
+            and _is_lemcomp(*other.segments)
+            # the singleton sits just above the shape's singleton top
+            and _is_lemcomp(single.segments[0], other.segments[0])
+        ):
+            top, lower = other.segments
+            return weirdcase_constituents(top.a, lower)
     return None
 
 
-def normalize(combo: dict[Term, int], max_steps: int = 10000) -> dict[Term, int]:
+def normalize(combo: dict[Term, int]) -> dict[Term, int]:
     """Exhaustively apply the registered rewriting rules to every product term."""
     current = dict(combo)
-    for _ in range(max_steps):
+    for _ in range(MAX_REWRITE_STEPS):
         changed = False
         nxt: dict[Term, int] = {}
         for term, coeff in current.items():
-            atoms = list(term)
             rewritten = None
-            spot = None
-            if all(isinstance(a, Multisegment) for a in atoms):
-                for i in range(len(atoms)):
-                    for j in range(i + 1, len(atoms)):
-                        rewritten = _try_rewrite_pair(atoms[i], atoms[j])
-                        if rewritten is not None:
-                            spot = (i, j)
-                            break
+            if all(isinstance(a, Multisegment) for a in term):
+                for i, j in itertools.combinations(range(len(term)), 2):
+                    rewritten = _try_rewrite_pair(term[i], term[j])
                     if rewritten is not None:
                         break
             if rewritten is None:
                 _add_term(nxt, term, coeff)
                 continue
             changed = True
-            i, j = spot  # type: ignore[misc]
-            rest = [a for k, a in enumerate(atoms) if k not in (i, j)]
-            for new_atoms, c in rewritten:
-                _add_term(nxt, _sorted_term(rest + list(new_atoms)), coeff * c)
+            rest = term[:i] + term[i + 1 : j] + term[j + 1 :]
+            for atom in rewritten:
+                _add_term(nxt, _sorted_term(rest + (atom,)), coeff)
         current = nxt
         if not changed:
             return current
@@ -432,22 +423,20 @@ def check_identity(lhs, rhs) -> Verdict:
     rule decomposes.
     """
     left, right = _to_graded(lhs), _to_graded(rhs)
-    diff: dict[int, dict[Term, int]] = {}
-    for g in set(left.degrees()) | set(right.degrees()):
-        layer: dict[Term, int] = {}
-        for term, coeff in normalize(left.layer(g)).items():
-            _add_term(layer, term, coeff)
-        for term, coeff in normalize(right.layer(g)).items():
-            _add_term(layer, term, -coeff)
-        if layer:
-            diff[g] = layer
-    if not diff:
+    diff = GradedVirtual(left.layers)
+    for g, combo in right.layers.items():
+        for term, coeff in combo.items():
+            diff.add(g, term, -coeff)
+    # Rewriting is linear, so the difference is normalized once, after the
+    # terms the two sides share have cancelled.
+    diff = GradedVirtual({g: normalize(combo) for g, combo in diff.layers.items()})
+    if not diff.layers:
         return Verdict("verified")
-    for g in sorted(diff):
-        for term in diff[g]:
+    for g in diff.degrees():
+        for term in diff.layers[g]:
             if len(term) > 1 or any(isinstance(a, OpaqueDerivative) for a in term):
                 return Verdict(
                     "unverifiable",
                     reason=f"undecomposed product remains at degree {g}: {_term_str(term)}",
                 )
-    return Verdict("refuted", witness_degree=min(diff))
+    return Verdict("refuted", witness_degree=min(diff.layers))

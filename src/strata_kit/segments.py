@@ -48,9 +48,6 @@ class CuspidalLabel:
         """The distinguished base point of this line (twist 0)."""
         return replace(self, twist=0)
 
-    def shifted(self, t: int) -> "CuspidalLabel":
-        return replace(self, twist=self.twist + t)
-
     def reduce(self, t: int) -> int:
         """Reduce an absolute twist exponent mod the period."""
         return t if self.period is None else t % self.period
@@ -92,7 +89,9 @@ class Segment:
     """The segment [a, b] on a cuspidal line, with b >= a in absolute twists.
 
     A nonzero twist on the label is folded into the endpoints at
-    construction, so the stored label is always the line's base point.
+    construction, so the stored label is always the line's base point; on a
+    line of finite period e the start is then reduced into [0, e), so that
+    equivalent segments compare equal.
     """
 
     cuspidal: CuspidalLabel
@@ -104,11 +103,12 @@ class Segment:
     def __post_init__(self) -> None:
         if self.b < self.a:
             raise ShapeError(f"segment needs b >= a, got [{self.a},{self.b}]")
-        if self.cuspidal.twist != 0:
-            t = self.cuspidal.twist
-            object.__setattr__(self, "cuspidal", self.cuspidal.base())
-            object.__setattr__(self, "a", self.a + t)
-            object.__setattr__(self, "b", self.b + t)
+        c = self.cuspidal
+        if c.twist != 0 or c.period is not None:
+            a = c.reduce(self.a + c.twist)
+            object.__setattr__(self, "cuspidal", c.base())
+            object.__setattr__(self, "b", self.b + a - self.a)
+            object.__setattr__(self, "a", a)
 
     @property
     def length(self) -> int:
@@ -131,13 +131,7 @@ class Segment:
         return self.cuspidal.infinite_period
 
     def same_line(self, other: "Segment") -> bool:
-        return self.cuspidal.base() == other.cuspidal.base()
-
-    def start_label(self) -> CuspidalLabel:
-        return self.cuspidal.shifted(self.a)
-
-    def end_label(self) -> CuspidalLabel:
-        return self.cuspidal.shifted(self.b)
+        return self.cuspidal == other.cuspidal
 
     def shifted(self, t: int) -> "Segment":
         return Segment(self.cuspidal, self.a + t, self.b + t)
@@ -192,11 +186,8 @@ def support(seg: Segment) -> Counter:
 
 
 def equivalent(s1: SegmentLike, s2: SegmentLike) -> bool:
-    """Equal lengths and isomorphic starting cuspidals."""
-    if s1.is_empty or s2.is_empty:
-        return s1.is_empty and s2.is_empty
-    assert isinstance(s1, Segment) and isinstance(s2, Segment)
-    return s1.length == s2.length and s1.start_label().isomorphic(s2.start_label())
+    """Equal lengths and isomorphic starting cuspidals, i.e. structural equality."""
+    return s1 == s2
 
 
 def inertially_equivalent(s1: SegmentLike, s2: SegmentLike) -> bool:
@@ -204,7 +195,7 @@ def inertially_equivalent(s1: SegmentLike, s2: SegmentLike) -> bool:
     if s1.is_empty or s2.is_empty:
         return s1.is_empty and s2.is_empty
     assert isinstance(s1, Segment) and isinstance(s2, Segment)
-    return s1.length == s2.length and s1.cuspidal.base() == s2.cuspidal.base()
+    return s1.length == s2.length and s1.cuspidal == s2.cuspidal
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,7 @@ def multisegment_to_orbit(
         shifts = sorted(
             s.a - rep.a
             for s in m.segments
-            if s.cuspidal.base() == rep.cuspidal.base() and s.length == rep.length
+            if s.cuspidal == rep.cuspidal and s.length == rep.length
         )
         per_orbit_shifts.append(shifts)
     orbit: set[tuple[int, ...]] = set()

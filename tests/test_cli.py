@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import strata_kit
 
 from strata_kit.cli import ExpressionSyntaxError, parse_expression, run
 from strata_kit.kgroup import DerivativeExpr, ProductExpr, SumExpr, ZClass
@@ -65,6 +71,8 @@ class TestVerbs:
         code, out, _ = invoke(capsys, "poset", MSEG_PAIR, "--dot")
         assert code == 0
         assert out.startswith("digraph")
+        code, _, _ = invoke(capsys, "poset", MSEG_PAIR, "--format", "dot")
+        assert code == 2
 
     def test_strata(self, capsys, tmp_path):
         block = tmp_path / "block.json"
@@ -177,3 +185,15 @@ class TestDeterminismAndOutput:
             code, out, _ = invoke(capsys, *argv)
             assert code == 0
             json.loads(out)
+
+
+def test_module_entry_point_has_clean_stderr():
+    src = str(Path(strata_kit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "strata_kit.cli", "ext", "--r", "2"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[1,2,1]\n", b"")

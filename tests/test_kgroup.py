@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from strata_kit import (
     DerivativeExpr,
@@ -141,6 +142,10 @@ class TestWeirdcase:
             mseg((3, 3), (2, 2), (0, 1)),
             mseg((2, 3), (0, 1)),
         ]
+        assert weirdcase_constituents(3, seg(1, 2)) == [
+            mseg((4, 4), (3, 3), (1, 2)),
+            mseg((3, 4), (1, 2)),
+        ]
 
     def test_degree_conserved(self):
         for alpha in range(1, 5):
@@ -164,6 +169,7 @@ class TestCheckIdentity:
     def test_unlinked_merge(self):
         assert self.check("Z[0,0]*Z[3,4]", "Z{[0,0],[3,4]}") == "verified"
         assert self.check("Z[0,0]*Z[0,0;s]", "Z{[0,0],[0,0;s]}") == "verified"
+        assert self.check("D^1(Z{[0,0],[5,5]})", "Z{[5,5]} + Z{[0,0]}") == "verified"
 
     def test_refuted(self):
         v = check_identity(parse_expression("Z[0,0]"), parse_expression("Z[1,1]"))
@@ -182,6 +188,7 @@ class TestCheckIdentity:
             parse_expression("D^1(Z{[0,1],[1,2]})"), parse_expression("Z{[0,1],[1,1]}")
         )
         assert v.status == "unverifiable"
+        assert v.reason == "undecomposed product remains at degree 0: ?D^1(Z{[1,2]_r,[0,1]_r})"
 
     def test_lemcomp_identity(self):
         for alpha in range(1, 5):
@@ -233,3 +240,46 @@ class TestCheckIdentity:
         left = total_derivative(ProductTerm.of(seg(0, 1), seg(0, 0)))
         right = total_derivative(ProductTerm.of(seg(0, 0), seg(0, 1)))
         assert check_identity(left, right).verified
+
+
+def _seg_text(line, a, b):
+    return f"[{a},{b}]" if line == "r" else f"[{a},{b};{line}]"
+
+
+unlinked_sets_st = st.lists(
+    st.tuples(st.sampled_from("rs"), st.integers(0, 4), st.integers(0, 2)).map(
+        lambda t: (t[0], t[1], t[1] + t[2])
+    ),
+    min_size=2,
+    max_size=4,
+)
+
+
+@settings(deadline=None)
+@given(unlinked_sets_st, st.integers(1, 4), st.integers(-1, 7))
+def test_unlinked_class_and_product_get_one_verdict(segs, g, drop):
+    """Z{m} of pairwise-unlinked m and the product of its segments are one class."""
+    factors = [seg(a, b, line_id=line) for line, a, b in segs]
+    assume(not any(relate(x, y).linked for x, y in itertools.combinations(factors, 2)))
+    g = min(g, len(segs))
+    terms = []
+    for chosen in itertools.combinations(range(len(segs)), g):
+        parts = [
+            "Z" + _seg_text(line, a, b - (i in chosen))
+            for i, (line, a, b) in enumerate(segs)
+            if i not in chosen or b > a
+        ]
+        terms.append("*".join(parts) or "Z{}")
+    true = not (len(terms) > 1 and 0 <= drop < len(terms))
+    if not true:
+        del terms[drop]
+    rhs = parse_expression(" + ".join(terms))
+    texts = [_seg_text(*t) for t in segs]
+    merged = parse_expression(f"D^{g}(Z{{{','.join(texts)}}})")
+    product = parse_expression(f"D^{g}(" + "*".join("Z" + t for t in texts) + ")")
+    v_merged, v_product = check_identity(merged, rhs), check_identity(product, rhs)
+    assert (v_merged.status, v_merged.witness_degree) == (
+        v_product.status,
+        v_product.witness_degree,
+    )
+    assert v_product.verified == true

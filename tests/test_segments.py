@@ -6,6 +6,7 @@ import pytest
 from strata_kit import (
     EMPTY_SEGMENT,
     CuspidalLabel,
+    Multisegment,
     Segment,
     ShapeError,
     WraparoundError,
@@ -86,6 +87,16 @@ class TestEquivalence:
         assert not equivalent(seg(0, 1), seg(0, 2))
         assert equivalent(EMPTY_SEGMENT, EMPTY_SEGMENT)
         assert not equivalent(s1, EMPTY_SEGMENT)
+
+    def test_finite_period_equality_is_equivalence(self):
+        s1, s2 = seg(0, 1, period=3), seg(3, 4, period=3)
+        assert equivalent(s1, s2)
+        assert s1 == s2 and hash(s1) == hash(s2)
+        assert Segment(CuspidalLabel("r", period=3, twist=2), 2, 3) == seg(1, 2, period=3)
+        assert seg(0, 1, period=3) != seg(1, 2, period=3)
+        m1 = Multisegment.of(s1, seg(2, 2, period=3))
+        m2 = Multisegment.of(seg(5, 5, period=3), s2)
+        assert m1 == m2 and hash(m1) == hash(m2)
 
     def test_inertially_equivalent(self):
         assert inertially_equivalent(seg(0, 1), seg(7, 8))
