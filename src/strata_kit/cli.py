@@ -33,8 +33,10 @@ from .multisegments import (
     lambda_of,
     mw_dual,
 )
+from .partitions import Partition
 from .segments import CuspidalLabel, Segment
 from .strata import (
+    DEFAULT_COMPONENT_BOUND,
     BlockSpec,
     components,
     ext_dimensions,
@@ -292,12 +294,8 @@ def _cmd_poset(args) -> None:
 
 def _cmd_strata(args) -> None:
     block = BlockSpec.from_json(_load_json(args.block))
-    lam_data = _load_json(args.lam)
-    from .partitions import Partition
-
-    report = components(
-        block, Partition.from_json(lam_data), bound=_budget(args, 10000)
-    )
+    lam = Partition.from_json(_load_json(args.lam))
+    report = components(block, lam, bound=_budget(args, DEFAULT_COMPONENT_BOUND))
     _emit(args, _render(args, report.to_json()))
 
 

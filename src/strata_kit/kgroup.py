@@ -336,7 +336,10 @@ def _try_rewrite_pair(a1: Multisegment, a2: Multisegment) -> Optional[list[Multi
     juxtaposed pair of single segments into its two constituents; split a
     singleton times a singleton-over-segment class into its two
     constituents.  Each returns the classes whose sum replaces the product.
+    No rule applies on a finite-period line, where linking is undefined.
     """
+    if not (a1.infinite_period and a2.infinite_period):
+        return None
     if _unlinked(itertools.product(a1.segments, a2.segments)):
         return [a1.union(a2)]
     if len(a1) == 1 and len(a2) == 1:

@@ -36,6 +36,13 @@ class BlockSpec:
             raise ShapeError("total degree must be >= 1")
         if not self.lines:
             raise ShapeError("block needs at least one cuspidal line")
+        bases = [line.base() for line in self.lines]
+        for i, line in enumerate(bases):
+            if line in bases[:i]:
+                raise ShapeError(
+                    f"block repeats the cuspidal line {line.line_id} "
+                    f"(dim {line.dim}, period {line.period})"
+                )
 
     @property
     def infinite_period(self) -> bool:
@@ -157,53 +164,46 @@ def ring_presentation(cls: InertialClass) -> InvariantRingPresentation:
     )
 
 
-def _enumerate_classes(block: BlockSpec, bound: int) -> list[InertialClass]:
-    """All inertial classes of total degree block.n over the block's lines.
-
-    A class is a multiset of (line, length) choices; representatives anchor
-    every segment at start twist 0.
-    """
-    items: list[tuple[CuspidalLabel, int]] = []
-    for line in sorted(block.lines, key=lambda l: (l.line_id, l.dim)):
-        base = line.base()
-        for length in range(1, block.n // line.dim + 1):
-            items.append((base, length))
-    out: list[InertialClass] = []
-
-    def rec(idx: int, remaining: int, acc: list[Segment]) -> None:
-        if remaining == 0:
-            out.append(inertial_class(Multisegment(tuple(acc))))
-            if len(out) > bound:
-                raise BudgetExceededError(f"component enumeration bound {bound} exceeded")
-            return
-        if idx == len(items):
-            return
-        line, length = items[idx]
-        d = line.dim * length
-        copies = 0
-        while copies * d <= remaining:
-            rec(idx + 1, remaining - copies * d, acc)
-            acc.append(Segment(line, 0, length - 1))
-            copies += 1
-        del acc[len(acc) - copies :]
-
-    rec(0, block.n, [])
-    return sorted(out, key=lambda c: str(c.representative))
-
-
 def components(block: BlockSpec, lam: Partition, bound: Optional[int] = None) -> StratumReport:
-    """Inertial components of the stratum lam over the block, with rings."""
+    """Inertial components of the stratum lam over the block, with rings.
+
+    The classes are generated from lam directly: lam_l - lam_(l+1) is the
+    dim-weighted number of segments of length exactly l, and each way of
+    splitting it across the block's lines fixes the length-l segments of a
+    class.  The bound caps the number of classes returned.
+    """
     if lam.weight != block.n:
         raise WeightMismatchError("incomparable weights")
     if not block.infinite_period:
         raise WraparoundError("component enumeration undefined with wraparound")
     limit = bound if bound is not None else (block.support_budget or DEFAULT_COMPONENT_BOUND)
-    matched = [
-        c for c in _enumerate_classes(block, limit) if lambda_of(c.representative) == lam
+    lines = sorted(block.lines, key=lambda l: (l.line_id, l.dim))
+    splits = []
+    for length in range(1, lam.length + 1):
+        count = lam.part(length) - lam.part(length + 1)
+        ranges = (range(count // line.dim + 1) for line in lines)
+        splits.append([
+            k for k in itertools.product(*ranges)
+            if sum(line.dim * copies for line, copies in zip(lines, k)) == count
+        ])
+    if math.prod(map(len, splits)) > limit:
+        raise BudgetExceededError(f"component enumeration bound {limit} exceeded")
+    # str() omits the dim, so classes over lines of one name can print
+    # alike; such ties keep the order of their segment counts, line by line.
+    choices = sorted(itertools.product(*splits), key=lambda p: list(zip(*p)))
+    classes = [
+        inertial_class(Multisegment(tuple(
+            Segment(line, 0, length - 1)
+            for length, split in enumerate(choice, 1)
+            for line, copies in zip(lines, split)
+            for _ in range(copies)
+        )))
+        for choice in choices
     ]
-    return StratumReport(
-        lam, tuple((c, ring_presentation(c)) for c in matched)
-    )
+    return StratumReport(lam, tuple(
+        (c, ring_presentation(c))
+        for c in sorted(classes, key=lambda c: str(c.representative))
+    ))
 
 
 def point_to_multisegment(

@@ -137,6 +137,13 @@ class TestExitCodes:
         assert code == 1
         assert "wraparound" in err
 
+    def test_repeated_block_line(self, capsys, tmp_path):
+        block = tmp_path / "block.json"
+        block.write_text(json.dumps({"lines": [{"line": "r"}, {"line": "r"}], "n": 3}))
+        code, out, err = invoke(capsys, "strata", "--block", str(block), "--lambda", "[1,1,1]")
+        assert (code, out) == (1, "")
+        assert "repeats the cuspidal line r" in err
+
     def test_budget_error(self, capsys):
         code, _, err = invoke(
             capsys, "poset", MSEG_PAIR, "--budget", "0"

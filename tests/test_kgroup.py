@@ -4,11 +4,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from strata_kit import (
+    CuspidalLabel,
     DerivativeExpr,
     Multisegment,
     Partition,
     ProductExpr,
     ProductTerm,
+    Segment,
     ShapeError,
     SumExpr,
     ZClass,
@@ -182,6 +184,15 @@ class TestCheckIdentity:
             parse_expression("Z[0,2]*Z[1,3]"), parse_expression("Z{[0,2],[1,3]}")
         )
         assert v.status == "unverifiable"
+
+    def test_unverifiable_finite_period(self):
+        c = CuspidalLabel("r", period=3)
+        v = check_identity(
+            ProductTerm.of(Segment(c, 0, 0), Segment(c, 1, 1)),
+            ProductTerm.of(Segment(c, 0, 1)),
+        )
+        assert v.status == "unverifiable"
+        assert v.reason == "undecomposed product remains at degree 0: Z{[0,0]_r} * Z{[1,1]_r}"
 
     def test_unverifiable_unknown_derivative(self):
         v = check_identity(

@@ -1,13 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from strata_kit import (
     BlockSpec,
+    BudgetExceededError,
     CuspidalLabel,
     Multisegment,
     Partition,
+    Segment,
     ShapeError,
+    StratumReport,
     WeightMismatchError,
     WraparoundError,
     classification_partition,
@@ -24,6 +28,35 @@ from strata_kit import (
 )
 
 from conftest import mseg, seg
+
+
+def brute_force_components(block):
+    """Oracle: every inertial class of degree block.n over the block's lines,
+    sorted by representative; a stratum keeps those whose lambda matches."""
+    items = [
+        (line.base(), length)
+        for line in sorted(block.lines, key=lambda l: (l.line_id, l.dim))
+        for length in range(1, block.n // line.dim + 1)
+    ]
+    out = []
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            out.append(inertial_class(Multisegment(tuple(acc))))
+            return
+        if idx == len(items):
+            return
+        line, length = items[idx]
+        d = line.dim * length
+        copies = 0
+        while copies * d <= remaining:
+            rec(idx + 1, remaining - copies * d, acc)
+            acc.append(Segment(line, 0, length - 1))
+            copies += 1
+        del acc[len(acc) - copies :]
+
+    rec(0, block.n, [])
+    return sorted(out, key=lambda c: str(c.representative))
 
 
 class TestInStratum:
@@ -128,12 +161,54 @@ class TestComponents:
         with pytest.raises(WraparoundError):
             components(self.block(2, period=3), Partition.of(2))
 
+    # Over four lines named r, classes can print alike (str() omits the dim);
+    # in the stratum (10, 4) only the tie-break by segment counts orders them.
+    @example(lines=[("r", 1), ("r", 2), ("r", 3), ("r", 4)], n=14)
+    @settings(deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(st.sampled_from("rst"), st.integers(1, 3)),
+            min_size=1, max_size=3, unique=True,
+        ),
+        n=st.integers(1, 8),
+    )
+    def test_matches_brute_force(self, lines, n):
+        block = BlockSpec(tuple(CuspidalLabel(i, d) for i, d in lines), n)
+        every = [(c, lambda_of(c.representative)) for c in brute_force_components(block)]
+        for lam in enumerate_partitions(n):
+            kept = [c for c, mine in every if mine == lam]
+            expected = StratumReport(lam, tuple((c, ring_presentation(c)) for c in kept))
+            assert components(block, lam).to_json() == expected.to_json()
+
+    def test_budget_counts_classes_returned(self):
+        block = BlockSpec((CuspidalLabel("r"), CuspidalLabel("s", 2)), 28)
+        lam = Partition.of(7, 7, 7, 7)
+        assert len(components(block, lam).components) == 4
+        with pytest.raises(BudgetExceededError):
+            components(block, lam, bound=3)
+
     def test_report_json_shape(self):
         rep = components(self.block(2), Partition.of(2))
         data = rep.to_json()
         assert data["lambda"] == [2]
         assert data["components"][0]["ring"]["dimension"] == 2
         assert set(data["components"][0]) == {"class", "ring"}
+
+
+class TestBlockSpec:
+    def test_repeated_line_rejected(self):
+        r = CuspidalLabel("r")
+        with pytest.raises(ShapeError, match="repeats the cuspidal line r"):
+            BlockSpec((r, r), 3)
+        with pytest.raises(ShapeError, match="repeats"):
+            BlockSpec((CuspidalLabel("r", 2, 3), CuspidalLabel("r", 2, 3, twist=1)), 3)
+
+    def test_same_id_other_dim_or_period_distinct(self):
+        lines = (CuspidalLabel("r"), CuspidalLabel("r", 2), CuspidalLabel("r", 1, 3))
+        assert BlockSpec(lines, 3).lines == lines
+        rep = components(BlockSpec(lines[:2], 3), Partition.of(3))
+        dims = [[s.dim for s in c.representative] for c, _ in rep.components]
+        assert dims == [[1, 1, 1], [1, 2]]
 
 
 class TestBijection:
