@@ -50,7 +50,6 @@ from .kgroup import (
     DerivativeExpr,
     GradedVirtual,
     ProductExpr,
-    ProductTerm,
     SumExpr,
     Verdict,
     ZClass,

@@ -13,11 +13,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from .errors import StrataKitError
 from .kgroup import (
     DerivativeExpr,
+    GradedVirtual,
     ProductExpr,
     SumExpr,
     ZClass,
@@ -59,9 +59,11 @@ class ExpressionSyntaxError(StrataKitError):
 class _Parser:
     """Recursive-descent parser for the K-group expression grammar.
 
-    expr := sum; sum := prod ('+' prod)*; prod := atom ('*' atom)*;
+    identity := expr '=' expr; expr := prod ('+' prod)*;
+    prod := atom ('*' atom)*;
     atom := 'Z[' int ',' int (';' ident)? ']' | 'Z{' mseg '}'
-          | 'D^' int '(' expr ')' | '(' expr ')'.
+          | 'D^' int '(' expr ')' | '(' expr ')', with derivative order >= 0.
+    Each rule returns the Grothendieck-group element it denotes.
     """
 
     def __init__(self, src: str) -> None:
@@ -130,7 +132,7 @@ class _Parser:
             self._fail(str(exc))
             raise  # unreachable
 
-    def _atom(self):
+    def _atom(self) -> GradedVirtual:
         ch = self._peek()
         if ch == "(":
             self._expect("(")
@@ -140,7 +142,12 @@ class _Parser:
         if ch == "D":
             self._expect("D")
             self._expect("^")
+            self._skip_ws()
+            start = self.pos
             degree = self._int()
+            if degree < 0:
+                self.pos = start
+                self._fail("derivative order must be >= 0")
             self._expect("(")
             inner = self.expression()
             self._expect(")")
@@ -163,30 +170,40 @@ class _Parser:
             self._fail("expected '[' or '{' after 'Z'")
         self._fail("expected an atom")
 
-    def _product(self):
+    def _product(self) -> GradedVirtual:
         factors = [self._atom()]
         while self._peek() == "*":
             self._expect("*")
             factors.append(self._atom())
-        return factors[0] if len(factors) == 1 else ProductExpr(tuple(factors))
+        return factors[0] if len(factors) == 1 else ProductExpr(factors)
 
-    def expression(self):
+    def expression(self) -> GradedVirtual:
         terms = [self._product()]
         while self._peek() == "+":
             self._expect("+")
             terms.append(self._product())
-        return terms[0] if len(terms) == 1 else SumExpr(tuple(terms))
+        return terms[0] if len(terms) == 1 else SumExpr(terms)
 
-    def parse(self):
-        tree = self.expression()
+    def _end(self) -> None:
         self._skip_ws()
         if self.pos != len(self.src):
             self._fail("unexpected trailing input")
-        return tree
+
+    def parse(self) -> GradedVirtual:
+        element = self.expression()
+        self._end()
+        return element
+
+    def identity(self) -> tuple[GradedVirtual, GradedVirtual]:
+        lhs = self.expression()
+        self._expect("=")
+        rhs = self.expression()
+        self._end()
+        return lhs, rhs
 
 
-def parse_expression(src: str):
-    """Parse a K-group expression string into an expression tree."""
+def parse_expression(src: str) -> GradedVirtual:
+    """Parse a K-group expression string into the element it denotes."""
     return _Parser(src).parse()
 
 
@@ -224,7 +241,7 @@ def _load_multisegment(arg: str) -> Multisegment:
 
 
 def _budget(args, fallback: int) -> int:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is not None:
@@ -238,9 +255,8 @@ def _budget(args, fallback: int) -> int:
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    out_path: Optional[str] = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -268,7 +284,7 @@ def _table_lines(value, indent: str = "") -> list[str]:
 
 
 def _render(args, payload) -> str:
-    if getattr(args, "format", "json") == "table":
+    if args.format == "table":
         return "\n".join(_table_lines(payload))
     return _dumps(payload)
 
@@ -319,12 +335,8 @@ def _cmd_ext(args) -> None:
 
 
 def _cmd_kgroup_check(args) -> None:
-    src = _read_input(args.identity)
-    if src.count("=") != 1:
-        raise _UsageError("identity must contain exactly one '='")
-    lhs_src, rhs_src = src.split("=")
-    verdict = check_identity(parse_expression(lhs_src), parse_expression(rhs_src))
-    _emit(args, str(verdict))
+    lhs, rhs = _Parser(_read_input(args.identity)).identity()
+    _emit(args, str(check_identity(lhs, rhs)))
 
 
 def _cmd_enumerate(args) -> None:
@@ -355,6 +367,9 @@ def _cmd_enumerate(args) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "table"), default="json")
     sub.add_argument("--out", help="write output to this path instead of stdout")
+
+
+def _add_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, help="override the enumeration bound")
 
 
@@ -379,12 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_poset)
 
     p = subs.add_parser("strata", help="inertial components of a stratum")
     p.add_argument("--block", required=True, help="block JSON or a path to it")
     p.add_argument("--lambda", dest="lam", required=True, help="partition JSON")
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_strata)
 
     p = subs.add_parser("ring", help="invariant-ring presentation of a component")
@@ -401,12 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("kgroup-check", help="check a Grothendieck-group identity")
     p.add_argument("identity", help="expression of the form 'lhs = rhs'")
-    _add_common(p)
+    p.add_argument("--out", help="write the verdict to this path instead of stdout")
     p.set_defaults(func=_cmd_kgroup_check)
 
     p = subs.add_parser("enumerate", help="all multisegments with a given support")
     p.add_argument("--support", required=True, help="JSON array of support points")
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_enumerate)
 
     return parser

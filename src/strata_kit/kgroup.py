@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import ShapeError
 from .multisegments import Multisegment, lambda_of
@@ -61,53 +61,15 @@ def _term_str(term: Term) -> str:
     return " * ".join(str(a) if isinstance(a, OpaqueDerivative) else f"Z{a}" for a in term)
 
 
-@dataclass(frozen=True)
-class ProductTerm:
-    """An ordered product Z(seg_1) x ... x Z(seg_k) of single-segment classes.
+class GradedVirtual:
+    """A graded Grothendieck-group element: derivative order -> combination of terms.
 
-    Order matters only for display; as a Grothendieck-group class the term
-    is identified with the multiset of its factors.
+    Elements are values; no method changes one after construction.
     """
 
-    factors: tuple[Segment, ...] = ()
-
-    def __post_init__(self) -> None:
-        for f in self.factors:
-            if f.is_empty:
-                raise ShapeError("product factors must be nonempty segments")
-
-    @classmethod
-    def of(cls, *factors: Segment) -> "ProductTerm":
-        return cls(tuple(factors))
-
-    def as_term(self) -> Term:
-        return _sorted_term(Multisegment.of(f) for f in self.factors)
-
-    @property
-    def degree(self) -> int:
-        return sum(f.degree for f in self.factors)
-
-    def __str__(self) -> str:
-        return _term_str(tuple(Multisegment.of(f) for f in self.factors))
-
-
-class GradedVirtual:
-    """Map from derivative order to an integer combination of terms."""
-
     def __init__(self, layers: Optional[dict] = None) -> None:
-        self.layers: dict[int, dict[Term, int]] = {}
-        if layers:
-            for g, combo in layers.items():
-                for term, coeff in combo.items():
-                    self.add(g, term, coeff)
-
-    def add(self, degree: int, term: Term, coeff: int = 1) -> None:
-        if coeff == 0:
-            return
-        layer = self.layers.setdefault(degree, {})
-        _add_term(layer, term, coeff)
-        if not layer:
-            del self.layers[degree]
+        merged = _add_layers({}, layers or {})
+        self.layers: dict[int, dict[Term, int]] = {g: c for g, c in merged.items() if c}
 
     def degrees(self) -> list[int]:
         return sorted(self.layers)
@@ -132,6 +94,29 @@ class GradedVirtual:
             )
             chunks.append(f"deg {g}: {combo}")
         return "; ".join(chunks)
+
+
+def _wrap(layers: dict[int, dict[Term, int]]) -> GradedVirtual:
+    """Wrap layers whose terms are already merged, dropping empty layers."""
+    out = GradedVirtual()
+    out.layers = {g: combo for g, combo in layers.items() if combo}
+    return out
+
+
+def _add_layers(acc: dict, layers: dict, coeff: int = 1) -> dict:
+    """Add coeff times the graded layers into acc and return acc."""
+    for g, combo in layers.items():
+        layer = acc.setdefault(g, {})
+        for term, c in combo.items():
+            _add_term(layer, term, coeff * c)
+    return acc
+
+
+def _degree_zero(x: GradedVirtual) -> dict[Term, int]:
+    """The terms of an element that lives in degree 0 only."""
+    if x.layers.keys() - {0}:
+        raise ShapeError(f"expected a degree-0 element, got {x}")
+    return x.layers.get(0, {})
 
 
 def _mul(acc: dict[Term, int], x: dict[Term, int], y: dict[Term, int]) -> dict[Term, int]:
@@ -208,14 +193,21 @@ def term_derivative(term: Term) -> Optional[GradedVirtual]:
         if table is None:
             return None
         tables.append(table)
-    return GradedVirtual(_leibniz(tables))
+    return _wrap(_leibniz(tables))
 
 
-def total_derivative(t: ProductTerm) -> GradedVirtual:
-    """All graded derivative components of a product of single-segment classes."""
-    out = term_derivative(t.as_term())
-    assert out is not None  # single-segment factors always have known derivatives
-    return out
+def total_derivative(x: GradedVirtual) -> GradedVirtual:
+    """All graded derivative components of a degree-0 element.
+
+    Raises ShapeError when some term has a class with no known derivative.
+    """
+    acc: dict[int, dict[Term, int]] = {}
+    for term, coeff in _degree_zero(x).items():
+        graded = term_derivative(term)
+        if graded is None:
+            raise ShapeError(f"no known derivative of {_term_str(term)}")
+        _add_layers(acc, graded.layers, coeff)
+    return _wrap(acc)
 
 
 def highest_derivative_of_product(m: Multisegment) -> tuple[Partition, Multisegment]:
@@ -261,72 +253,49 @@ def weirdcase_constituents(alpha: int, delta: Segment) -> list[Multisegment]:
 
 
 # --------------------------------------------------------------------------
-# Expression trees and the identity checker
+# Element constructors and the identity checker
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZClass:
-    """The class Z(m) of the irreducible with multisegment m."""
-
-    mseg: Multisegment
+def ZClass(m: Multisegment) -> GradedVirtual:
+    """The class Z(m) of the irreducible with multisegment m, in degree 0."""
+    return _wrap({0: {_sorted_term([m]): 1}})
 
 
-@dataclass(frozen=True)
-class ProductExpr:
-    factors: tuple
+def ProductExpr(factors) -> GradedVirtual:
+    """The graded product of elements (the Leibniz rule over their layers)."""
+    return _wrap(_leibniz(f.layers for f in factors))
 
 
-@dataclass(frozen=True)
-class SumExpr:
-    terms: tuple
+def SumExpr(terms) -> GradedVirtual:
+    """The sum of elements, degree by degree."""
+    acc: dict[int, dict[Term, int]] = {}
+    for x in terms:
+        _add_layers(acc, x.layers)
+    return _wrap(acc)
 
 
-@dataclass(frozen=True)
-class DerivativeExpr:
-    """The degree-g derivative component of the inner expression."""
+def DerivativeExpr(degree: int, inner: GradedVirtual) -> GradedVirtual:
+    """The degree-g derivative component of a degree-0 element, in degree 0.
 
-    degree: int
-    inner: object
-
-
-Expr = Union[ZClass, ProductExpr, SumExpr, DerivativeExpr]
-
-
-def evaluate(expr: Expr) -> dict[Term, int]:
-    """Evaluate an expression to an integer combination of terms.
-
-    Derivative nodes of unknown classes produce opaque placeholder atoms,
+    Terms with a class of unknown derivative become opaque placeholder atoms,
     which later force an "unverifiable" verdict rather than a guess.
     """
-    if isinstance(expr, ZClass):
-        return {_sorted_term([expr.mseg]): 1}
-    if isinstance(expr, SumExpr):
-        acc: dict[Term, int] = {}
-        for sub in expr.terms:
-            for term, coeff in evaluate(sub).items():
-                _add_term(acc, term, coeff)
-        return acc
-    if isinstance(expr, ProductExpr):
-        acc = {(): 1}
-        for sub in expr.factors:
-            acc = _mul({}, acc, evaluate(sub))
-        return acc
-    if isinstance(expr, DerivativeExpr):
-        acc = {}
-        for term, coeff in evaluate(expr.inner).items():
-            if expr.degree == 0:
-                _add_term(acc, term, coeff)
-                continue
-            graded = term_derivative(term)
-            if graded is None:
-                marker = OpaqueDerivative(_term_str(term), expr.degree)
-                _add_term(acc, (marker,), coeff)
-                continue
-            for t2, c2 in graded.layer(expr.degree).items():
-                _add_term(acc, t2, coeff * c2)
-        return acc
-    raise ShapeError(f"not an expression node: {expr!r}")
+    if degree < 0:
+        raise ShapeError(f"derivative order must be >= 0, got {degree}")
+    terms = _degree_zero(inner)
+    if degree == 0:
+        return _wrap({0: dict(terms)})
+    acc: dict[Term, int] = {}
+    for term, coeff in terms.items():
+        graded = term_derivative(term)
+        if graded is None:
+            marker = OpaqueDerivative(_term_str(term), degree)
+            _add_term(acc, (marker,), coeff)
+            continue
+        for t2, c2 in graded.layers.get(degree, {}).items():
+            _add_term(acc, t2, coeff * c2)
+    return _wrap({0: acc})
 
 
 def _try_rewrite_pair(a1: Multisegment, a2: Multisegment) -> Optional[list[Multisegment]]:
@@ -406,33 +375,17 @@ class Verdict:
         return f"refuted at degree {self.witness_degree}"
 
 
-def _to_graded(side) -> GradedVirtual:
-    if isinstance(side, GradedVirtual):
-        return side
-    if isinstance(side, ProductTerm):
-        return GradedVirtual({0: {side.as_term(): 1}})
-    if isinstance(side, Multisegment):
-        return GradedVirtual({0: {_sorted_term([side]): 1}})
-    return GradedVirtual({0: evaluate(side)})
+def check_identity(lhs: GradedVirtual, rhs: GradedVirtual) -> Verdict:
+    """Compare two elements after exhaustive rewriting; never guesses.
 
-
-def check_identity(lhs, rhs) -> Verdict:
-    """Compare two sides after exhaustive rewriting; never guesses.
-
-    Sides may be expression trees, graded virtual elements, product terms,
-    or multisegments.  The result is "verified" when the normal forms agree
-    in every degree, "refuted" at the lowest disagreeing degree, and
-    "unverifiable" when the disagreement involves a product no registered
-    rule decomposes.
+    The result is "verified" when the normal forms agree in every degree,
+    "refuted" at the lowest disagreeing degree, and "unverifiable" when the
+    disagreement involves a product no registered rule decomposes.
     """
-    left, right = _to_graded(lhs), _to_graded(rhs)
-    diff = GradedVirtual(left.layers)
-    for g, combo in right.layers.items():
-        for term, coeff in combo.items():
-            diff.add(g, term, -coeff)
+    diff = _add_layers({g: dict(combo) for g, combo in lhs.layers.items()}, rhs.layers, -1)
     # Rewriting is linear, so the difference is normalized once, after the
     # terms the two sides share have cancelled.
-    diff = GradedVirtual({g: normalize(combo) for g, combo in diff.layers.items()})
+    diff = _wrap({g: normalize(combo) for g, combo in diff.items() if combo})
     if not diff.layers:
         return Verdict("verified")
     for g in diff.degrees():

@@ -11,6 +11,8 @@ import strata_kit
 from strata_kit.cli import ExpressionSyntaxError, parse_expression, run
 from strata_kit.kgroup import DerivativeExpr, ProductExpr, SumExpr, ZClass
 
+from conftest import mseg
+
 MSEG_01 = '{"segments":[{"line":"r","dim":1,"period":null,"a":0,"b":1}]}'
 MSEG_PAIR = (
     '{"segments":[{"line":"r","dim":1,"period":null,"a":0,"b":0},'
@@ -26,16 +28,20 @@ def invoke(capsys, *argv):
 
 class TestParseExpression:
     def test_atoms(self):
-        assert isinstance(parse_expression("Z[0,1]"), ZClass)
-        assert isinstance(parse_expression("Z{[0,1],[2,2]}"), ZClass)
-        assert isinstance(parse_expression("D^1(Z[0,1]*Z[0,0])"), DerivativeExpr)
-        assert isinstance(parse_expression("Z[0,1]+Z[0,0]"), SumExpr)
-        assert isinstance(parse_expression("Z[0,1]*Z[0,0]"), ProductExpr)
-        assert isinstance(parse_expression("(Z[0,1])"), ZClass)
+        z01, z00 = ZClass(mseg((0, 1))), ZClass(mseg((0, 0)))
+        assert parse_expression("Z[0,1]") == z01
+        assert parse_expression("Z{[0,1],[2,2]}") == ZClass(mseg((0, 1), (2, 2)))
+        assert parse_expression("D^1(Z[0,1]*Z[0,0])") == DerivativeExpr(
+            1, ProductExpr((z01, z00))
+        )
+        assert parse_expression("Z[0,1]+Z[0,0]") == SumExpr((z01, z00))
+        assert parse_expression("Z[0,1]*Z[0,0]") == ProductExpr((z01, z00))
+        assert parse_expression("(Z[0,1])") == z01
 
     def test_named_line_and_negatives(self):
         expr = parse_expression("Z[-2,-1;sigma]")
-        (seg,) = expr.mseg.segments
+        ((atom,),) = expr.layer(0)
+        (seg,) = atom.segments
         assert (seg.a, seg.b, seg.line_id) == (-2, -1, "sigma")
 
     def test_whitespace_insensitive(self):
@@ -48,6 +54,9 @@ class TestParseExpression:
         assert exc.value.line == 1
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("Z[0,1] ^")
+        with pytest.raises(ExpressionSyntaxError, match="derivative order") as exc:
+            parse_expression("D^ -1(Z[0,0])")
+        assert exc.value.column == 4
 
 
 class TestVerbs:
@@ -130,6 +139,20 @@ class TestExitCodes:
     def test_usage_error_missing_equals(self, capsys):
         code, _, err = invoke(capsys, "kgroup-check", "Z[0,1]")
         assert code == 2
+        assert "column 7: expected '='" in err
+
+    def test_identity_error_positions(self, capsys):
+        code, _, err = invoke(capsys, "kgroup-check", "Z[0,0] = Z[0,")
+        assert code == 2
+        assert "column 14: expected an integer" in err
+        code, _, err = invoke(capsys, "kgroup-check", "Z[0,1] = Z[0,1] = Z[0,1]")
+        assert code == 2
+        assert "column 17: unexpected trailing input" in err
+
+    def test_negative_derivative_order(self, capsys):
+        code, out, err = invoke(capsys, "kgroup-check", "D^-1(Z[0,0]) = D^-1(Z[1,1])")
+        assert (code, out) == (2, "")
+        assert "column 3: derivative order must be >= 0" in err
 
     def test_domain_error(self, capsys):
         finite = '{"segments":[{"line":"r","dim":1,"period":2,"a":0,"b":1}]}'
@@ -156,6 +179,20 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert run(["ext", "--r", "3", "--nope"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda", MSEG_01, "--budget", "3"],
+            ["dual", MSEG_01, "--budget", "3"],
+            ["ring", "--class", MSEG_PAIR, "--budget", "3"],
+            ["ext", "--r", "3", "--budget", "3"],
+            ["kgroup-check", "Z[0,0] = Z[0,0]", "--budget", "1"],
+            ["kgroup-check", "Z[0,0] = Z[0,0]", "--format", "table"],
+        ],
+    )
+    def test_flag_the_verb_does_not_read(self, capsys, argv):
+        assert run(argv) == 2
 
 
 class TestDeterminismAndOutput:

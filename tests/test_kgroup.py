@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 from strata_kit import (
     CuspidalLabel,
     DerivativeExpr,
+    GradedVirtual,
     Multisegment,
     Partition,
     ProductExpr,
-    ProductTerm,
     Segment,
     ShapeError,
     SumExpr,
@@ -33,33 +33,43 @@ def term_of(*pairs):
     return tuple(sorted((mseg(p) for p in pairs), key=str))
 
 
+def product(*segments):
+    return ProductExpr(ZClass(Multisegment.of(s)) for s in segments)
+
+
 class TestTotalDerivative:
     def test_single_segment(self):
-        gv = total_derivative(ProductTerm.of(seg(0, 1)))
+        gv = total_derivative(product(seg(0, 1)))
         assert gv.layer(0) == {(mseg((0, 1)),): 1}
         assert gv.layer(1) == {(mseg((0, 0)),): 1}
         assert gv.degrees() == [0, 1]
 
     def test_cuspidal(self):
-        gv = total_derivative(ProductTerm.of(seg(0, 0)))
+        gv = total_derivative(product(seg(0, 0)))
         assert gv.layer(1) == {(): 1}
 
     def test_leibniz_pair(self):
-        gv = total_derivative(ProductTerm.of(seg(0, 1), seg(0, 0)))
+        gv = total_derivative(product(seg(0, 1), seg(0, 0)))
         assert gv.layer(0) == {term_of((0, 1), (0, 0)): 1}
         assert gv.layer(1) == {term_of((0, 0), (0, 0)): 1, (mseg((0, 1)),): 1}
         assert gv.layer(2) == {(mseg((0, 0)),): 1}
 
     def test_dim_scaling(self):
-        gv = total_derivative(ProductTerm.of(seg(0, 1, dim=2)))
+        gv = total_derivative(product(seg(0, 1, dim=2)))
         assert gv.degrees() == [0, 2]
+
+    def test_unknown_class_raises(self):
+        with pytest.raises(ShapeError, match="no known derivative"):
+            total_derivative(ZClass(mseg((0, 1), (1, 2))))
+        with pytest.raises(ShapeError, match="degree-0 element"):
+            total_derivative(total_derivative(product(seg(0, 1))))
 
     def test_top_degree_is_lambda_one(self):
         pool = [seg(a, b) for a in range(3) for b in range(a, 3)]
         for r in range(1, 4):
             for combo in itertools.combinations_with_replacement(pool, r):
                 m = Multisegment.of(*combo)
-                gv = total_derivative(ProductTerm(tuple(combo)))
+                gv = total_derivative(product(*combo))
                 assert gv.top_degree() == lambda_of(m).part(1)
                 assert len(gv.layer(gv.top_degree())) == 1
                 assert list(gv.layer(gv.top_degree()).values()) == [1]
@@ -70,7 +80,7 @@ class TestTotalDerivative:
         parts = []
         current = list(factors)
         while current:
-            gv = total_derivative(ProductTerm(tuple(current)))
+            gv = total_derivative(product(*current))
             top = gv.top_degree()
             parts.append(top)
             (term,) = gv.layer(top)
@@ -188,8 +198,8 @@ class TestCheckIdentity:
     def test_unverifiable_finite_period(self):
         c = CuspidalLabel("r", period=3)
         v = check_identity(
-            ProductTerm.of(Segment(c, 0, 0), Segment(c, 1, 1)),
-            ProductTerm.of(Segment(c, 0, 1)),
+            product(Segment(c, 0, 0), Segment(c, 1, 1)),
+            product(Segment(c, 0, 1)),
         )
         assert v.status == "unverifiable"
         assert v.reason == "undecomposed product remains at degree 0: Z{[0,0]_r} * Z{[1,1]_r}"
@@ -200,6 +210,10 @@ class TestCheckIdentity:
         )
         assert v.status == "unverifiable"
         assert v.reason == "undecomposed product remains at degree 0: ?D^1(Z{[1,2]_r,[0,1]_r})"
+
+    def test_negative_derivative_order(self):
+        with pytest.raises(ShapeError, match="derivative order"):
+            DerivativeExpr(-1, ZClass(mseg((0, 0))))
 
     def test_lemcomp_identity(self):
         for alpha in range(1, 5):
@@ -248,8 +262,8 @@ class TestCheckIdentity:
             assert check_identity(lhs, rhs).verified
 
     def test_graded_virtual_sides(self):
-        left = total_derivative(ProductTerm.of(seg(0, 1), seg(0, 0)))
-        right = total_derivative(ProductTerm.of(seg(0, 0), seg(0, 1)))
+        left = total_derivative(product(seg(0, 1), seg(0, 0)))
+        right = total_derivative(product(seg(0, 0), seg(0, 1)))
         assert check_identity(left, right).verified
 
 
@@ -294,3 +308,23 @@ def test_unlinked_class_and_product_get_one_verdict(segs, g, drop):
         v_product.witness_degree,
     )
     assert v_product.verified == true
+
+
+product_st = st.lists(
+    st.tuples(st.sampled_from("rs"), st.integers(0, 4), st.integers(1, 3)).map(
+        lambda t: (t[0], t[1], t[1] + t[2] - 1)
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(deadline=None)
+@given(product_st)
+def test_derivative_entry_points_agree(segs):
+    """D^g(x) is layer g of total_derivative(x), and the parser builds x itself."""
+    x = product(*(seg(a, b, line_id=line) for line, a, b in segs))
+    assert parse_expression("*".join("Z" + _seg_text(*t) for t in segs)) == x
+    total = total_derivative(x)
+    for g in range(total.top_degree() + 1):
+        assert DerivativeExpr(g, x) == GradedVirtual({0: total.layer(g)})
