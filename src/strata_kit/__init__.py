@@ -28,6 +28,7 @@ from .segments import (
     bottom_minus,
     equivalent,
     inertially_equivalent,
+    linked,
     relate,
     segment_invariants,
     top_minus,

@@ -21,7 +21,7 @@ from typing import Optional
 from .errors import ShapeError
 from .multisegments import Multisegment, lambda_of
 from .partitions import Partition
-from .segments import Segment, relate, top_minus
+from .segments import Segment, linked, relate, top_minus
 
 # A term is a commutative product of irreducible classes, stored as a
 # canonically sorted tuple of atoms; the empty tuple is the trivial class.
@@ -141,7 +141,7 @@ def _leibniz(tables) -> dict[int, dict[Term, int]]:
 
 def _unlinked(pairs) -> bool:
     """No pair of segments is linked: their product is irreducible (Zelevinsky)."""
-    return not any(relate(x, y).linked for x, y in pairs)
+    return not any(linked(x, y) for x, y in pairs)
 
 
 def _is_lemcomp(top: Segment, lower: Segment) -> bool:
@@ -389,10 +389,15 @@ def check_identity(lhs: GradedVirtual, rhs: GradedVirtual) -> Verdict:
     if not diff.layers:
         return Verdict("verified")
     for g in diff.degrees():
-        for term in diff.layers[g]:
-            if len(term) > 1 or any(isinstance(a, OpaqueDerivative) for a in term):
-                return Verdict(
-                    "unverifiable",
-                    reason=f"undecomposed product remains at degree {g}: {_term_str(term)}",
-                )
+        stuck = [
+            _term_str(term)
+            for term in diff.layers[g]
+            if len(term) > 1 or any(isinstance(a, OpaqueDerivative) for a in term)
+        ]
+        if stuck:
+            # Name the smallest, so the reason does not depend on term order.
+            return Verdict(
+                "unverifiable",
+                reason=f"undecomposed product remains at degree {g}: {min(stuck)}",
+            )
     return Verdict("refuted", witness_degree=min(diff.layers))

@@ -7,6 +7,7 @@ the Moeglin-Waldspurger involution, and inertial classes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -18,9 +19,8 @@ from .segments import (
     CuspidalLabel,
     Segment,
     SegmentLike,
-    relate,
+    linked,
     support as segment_support,
-    top_minus,
     union_and_intersection,
 )
 
@@ -65,7 +65,7 @@ class Multisegment:
         """Multiset union of the member segments' supports."""
         total: Counter = Counter()
         for s in self.segments:
-            total += segment_support(s)
+            total.update(segment_support(s))
         return total
 
     def replace_pair(self, i: int, j: int, new: Iterable[SegmentLike]) -> "Multisegment":
@@ -91,13 +91,16 @@ def degree(m: Multisegment) -> int:
 
 def lambda_of(m: Multisegment) -> Partition:
     """Highest derivative partition: part i sums the dims of segments of length >= i."""
-    if not m.segments:
-        return Partition()
-    max_len = max(s.length for s in m.segments)
+    dims_by_length: dict[int, int] = {}
+    for s in m.segments:
+        n = s.length
+        dims_by_length[n] = dims_by_length.get(n, 0) + s.dim
     parts = []
-    for i in range(1, max_len + 1):
-        parts.append(sum(s.dim for s in m.segments if s.length >= i))
-    return Partition(tuple(parts))
+    total = 0
+    for i in range(max(dims_by_length, default=0), 0, -1):
+        total += dims_by_length.get(i, 0)
+        parts.append(total)
+    return Partition(tuple(reversed(parts)))
 
 
 def canonical_order(m: Multisegment) -> list[Segment]:
@@ -120,8 +123,7 @@ def elementary_reductions(m: Multisegment) -> set[Multisegment]:
     segs = m.segments
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
-            rel = relate(segs[i], segs[j])
-            if rel.linked:
+            if linked(segs[i], segs[j]):
                 union, inter = union_and_intersection(segs[i], segs[j])
                 out.add(m.replace_pair(i, j, (union, inter)))
     return out
@@ -181,40 +183,35 @@ def _dual_one_line(segs: list[Segment]) -> list[Segment]:
     Repeatedly extract the maximal chain of segments whose ends descend by
     one and whose starts strictly decrease; the twist interval of the
     chain's ends becomes a segment of the dual, and each chain member
-    loses its top twist.
+    loses its top twist.  The segments are kept as sorted starts bucketed
+    by end, so each chain step is one bisection.
     """
-    remaining = list(segs)
+    line = segs[0].cuspidal
+    starts: dict[int, list[int]] = {}
+    for s in segs:
+        starts.setdefault(s.b, []).append(s.a)
+    for bucket in starts.values():
+        bucket.sort()
     out: list[Segment] = []
-    while remaining:
-        b = max(s.b for s in remaining)
-        chain: list[int] = []
-        e = b
-        start: Optional[int] = None
-        while True:
-            candidates = [
-                i
-                for i, s in enumerate(remaining)
-                if i not in chain
-                and s.b == e
-                and (start is None or s.a < start)
-            ]
-            if not candidates:
+    while starts:
+        b = max(starts)
+        e, start = b, b + 1
+        peeled: list[tuple[int, int]] = []
+        while e in starts:
+            bucket = starts[e]
+            i = bisect_left(bucket, start)
+            if i == 0:
                 break
-            pick = max(candidates, key=lambda i: remaining[i].a)
-            chain.append(pick)
-            start = remaining[pick].a
+            start = bucket.pop(i - 1)
+            if not bucket:
+                del starts[e]
+            if start < e:
+                peeled.append((start, e - 1))
             e -= 1
-        line = remaining[0].cuspidal
-        out.append(Segment(line, b - len(chain) + 1, b))
-        peeled = []
-        for i, s in enumerate(remaining):
-            if i in chain:
-                shorter = top_minus(s)
-                if not shorter.is_empty:
-                    peeled.append(shorter)  # type: ignore[arg-type]
-            else:
-                peeled.append(s)
-        remaining = peeled
+        out.append(Segment(line, e + 1, b))
+        # The chain members lose their top twist once the chain is complete.
+        for a, end in peeled:
+            insort(starts.setdefault(end, []), a)
     return out
 
 
@@ -293,32 +290,34 @@ def enumerate_with_support(
         raise BudgetExceededError(f"support size bound {bound} exceeded")
     if any(p.period is not None for p in pts):
         raise WraparoundError("support enumeration undefined with wraparound")
-    remaining: Counter = Counter((p.base(), p.twist) for p in pts)
-    results: set[Multisegment] = set()
+    remaining: Counter = Counter((p.line_id, p.dim, p.twist) for p in pts)
+    lines = {(p.line_id, p.dim): CuspidalLabel(p.line_id, p.dim) for p in pts}
+    results: list[Multisegment] = []
+    acc: list[Segment] = []
 
-    def rec(rem: Counter, acc: list[Segment]) -> None:
-        if not rem:
-            results.add(Multisegment(tuple(acc)))
+    def rec(prev_top: Optional[tuple], prev_start: int) -> None:
+        # The highest remaining point is the top of some segment.  Segments
+        # with the same top are chosen consecutively with starts that never
+        # increase, so each multisegment is generated exactly once.
+        if not remaining:
+            results.append(Multisegment(tuple(acc)))
             return
-        base, t = max(rem, key=lambda k: (k[0].line_id, k[0].dim, k[1]))
+        top = max(remaining)
+        line_id, dim, t = top
+        line = lines[line_id, dim]
+        lowest = prev_start if top == prev_top else t
         a = t
-        while True:
-            new = rem.copy()
-            ok = True
-            for u in range(a, t + 1):
-                if new[(base, u)] > 0:
-                    new[(base, u)] -= 1
-                    if new[(base, u)] == 0:
-                        del new[(base, u)]
-                else:
-                    ok = False
-                    break
-            if not ok:
-                break
-            acc.append(Segment(base, a, t))
-            rec(new, acc)
-            acc.pop()
+        while remaining[line_id, dim, a]:
+            point = (line_id, dim, a)
+            remaining[point] -= 1
+            if not remaining[point]:
+                del remaining[point]
+            if a <= lowest:
+                acc.append(Segment(line, a, t))
+                rec(top, a)
+                acc.pop()
             a -= 1
+        remaining.update((line_id, dim, u) for u in range(a + 1, t + 1))
 
-    rec(remaining, [])
+    rec(None, 0)
     return sorted(results, key=str)

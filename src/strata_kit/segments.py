@@ -12,7 +12,7 @@ equality.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ShapeError, WraparoundError
@@ -46,7 +46,7 @@ class CuspidalLabel:
 
     def base(self) -> "CuspidalLabel":
         """The distinguished base point of this line (twist 0)."""
-        return replace(self, twist=0)
+        return CuspidalLabel(self.line_id, self.dim, self.period)
 
     def reduce(self, t: int) -> int:
         """Reduce an absolute twist exponent mod the period."""
@@ -218,25 +218,44 @@ class Relation:
     disjoint: bool
 
 
-def relate(s1: Segment, s2: Segment) -> Relation:
-    """Relation record for two nonempty segments; infinite-period lines only."""
+def _check_linkable(s1: Segment, s2: Segment) -> None:
+    """Linking is defined for nonempty segments on infinite-period lines only."""
     if s1.is_empty or s2.is_empty:
         raise ShapeError("relate is undefined for empty segments")
-    if not (s1.infinite_period and s2.infinite_period):
+    if s1.cuspidal.period is not None or s2.cuspidal.period is not None:
         raise WraparoundError("linking undefined with wraparound")
-    if not s1.same_line(s2):
+
+
+def linked(s1: Segment, s2: Segment) -> bool:
+    """Whether the two segments are linked: their union is a segment containing
+    neither of them.  Same preconditions as :func:`relate`."""
+    _check_linkable(s1, s2)
+    if s1.cuspidal != s2.cuspidal:
+        return False
+    if s1.a < s2.a:
+        return s1.b < s2.b and s2.a <= s1.b + 1
+    if s2.a < s1.a:
+        return s2.b < s1.b and s1.a <= s2.b + 1
+    return False
+
+
+def relate(s1: Segment, s2: Segment) -> Relation:
+    """Relation record for two nonempty segments; infinite-period lines only."""
+    _check_linkable(s1, s2)
+    if s1.cuspidal != s2.cuspidal:
         return Relation(False, False, False, False, False, False, False, True)
-    contains = s1.a <= s2.a and s2.b <= s1.b
-    contained_in = s2.a <= s1.a and s1.b <= s2.b
-    overlap = max(s1.a, s2.a) <= min(s1.b, s2.b)
-    union_is_segment = s2.a <= s1.b + 1 and s1.a <= s2.b + 1
-    linked = union_is_segment and not contains and not contained_in
+    a1, b1, a2, b2 = s1.a, s1.b, s2.a, s2.b
+    contains = a1 <= a2 and b2 <= b1
+    contained_in = a2 <= a1 and b1 <= b2
+    overlap = max(a1, a2) <= min(b1, b2)
+    union_is_segment = a2 <= b1 + 1 and a1 <= b2 + 1
+    is_linked = union_is_segment and not contains and not contained_in
     return Relation(
         same_line=True,
-        precedes=linked and s1.a < s2.a,
-        preceded_by=linked and s2.a < s1.a,
-        linked=linked,
-        juxtaposed=linked and not overlap,
+        precedes=is_linked and a1 < a2,
+        preceded_by=is_linked and a2 < a1,
+        linked=is_linked,
+        juxtaposed=is_linked and not overlap,
         contains=contains,
         contained_in=contained_in,
         disjoint=not overlap,
@@ -245,8 +264,7 @@ def relate(s1: Segment, s2: Segment) -> Relation:
 
 def union_and_intersection(s1: Segment, s2: Segment) -> tuple[Segment, SegmentLike]:
     """(union, intersection) of a linked pair; the intersection may be empty."""
-    rel = relate(s1, s2)
-    if not rel.linked:
+    if not linked(s1, s2):
         raise ShapeError("segments not linked")
     union = Segment(s1.cuspidal, min(s1.a, s2.a), max(s1.b, s2.b))
     lo, hi = max(s1.a, s2.a), min(s1.b, s2.b)

@@ -114,6 +114,19 @@ class TestVerbs:
         code, out, _ = invoke(capsys, "kgroup-check", "Z[0,0] = Z[1,1]")
         assert (code, out) == (0, "refuted at degree 0\n")
 
+    def test_kgroup_check_reason_independent_of_term_order(self, capsys):
+        terms = ("D^1(Z{[0,1],[1,2]})", "Z[0,2]*Z[1,3]")
+        outs = [
+            invoke(capsys, "kgroup-check", f"{first} + {second} = Z[0,0]")
+            for first, second in (terms, terms[::-1])
+        ]
+        assert outs[0] == outs[1] == (
+            0,
+            "unverifiable: undecomposed product remains at degree 0: "
+            "?D^1(Z{[1,2]_r,[0,1]_r})\n",
+            "",
+        )
+
     def test_enumerate(self, capsys):
         code, out, _ = invoke(capsys, "enumerate", "--support", '[["r",0],["r",1]]')
         assert code == 0

@@ -1,13 +1,15 @@
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from strata_kit import (
     BudgetExceededError,
     CuspidalLabel,
     Multisegment,
     Partition,
+    Segment,
     WraparoundError,
     add,
     canonical_order,
@@ -19,6 +21,7 @@ from strata_kit import (
     inertial_class,
     lambda_of,
     mw_dual,
+    top_minus,
 )
 
 from conftest import mseg, seg
@@ -29,6 +32,107 @@ segments_st = st.builds(
     st.integers(1, 4),
 )
 msegs_st = st.lists(segments_st, max_size=4).map(lambda xs: Multisegment.of(*xs))
+
+
+def brute_force_enumerate_with_support(points):
+    """The set-based oracle: every ordering of the segments is generated and
+    the duplicates are dropped by a set."""
+    remaining = Counter((p.base(), p.twist) for p in points)
+    results = set()
+
+    def rec(rem, acc):
+        if not rem:
+            results.add(Multisegment(tuple(acc)))
+            return
+        base, t = max(rem, key=lambda k: (k[0].line_id, k[0].dim, k[1]))
+        a = t
+        while True:
+            new = rem.copy()
+            ok = True
+            for u in range(a, t + 1):
+                if new[(base, u)] > 0:
+                    new[(base, u)] -= 1
+                    if new[(base, u)] == 0:
+                        del new[(base, u)]
+                else:
+                    ok = False
+                    break
+            if not ok:
+                break
+            acc.append(Segment(base, a, t))
+            rec(new, acc)
+            acc.pop()
+            a -= 1
+
+    rec(remaining, [])
+    return sorted(results, key=str)
+
+
+def brute_force_dual_one_line(segs):
+    """The list-scanning oracle for maximal-chain peeling on one line."""
+    remaining = list(segs)
+    out = []
+    while remaining:
+        b = max(s.b for s in remaining)
+        chain = []
+        e = b
+        start = None
+        while True:
+            candidates = [
+                i
+                for i, s in enumerate(remaining)
+                if i not in chain and s.b == e and (start is None or s.a < start)
+            ]
+            if not candidates:
+                break
+            pick = max(candidates, key=lambda i: remaining[i].a)
+            chain.append(pick)
+            start = remaining[pick].a
+            e -= 1
+        out.append(Segment(remaining[0].cuspidal, b - len(chain) + 1, b))
+        peeled = []
+        for i, s in enumerate(remaining):
+            if i in chain:
+                shorter = top_minus(s)
+                if not shorter.is_empty:
+                    peeled.append(shorter)
+            else:
+                peeled.append(s)
+        remaining = peeled
+    return out
+
+
+def brute_force_mw_dual(m):
+    by_line = {}
+    for s in m.segments:
+        by_line.setdefault(s.cuspidal, []).append(s)
+    dual = []
+    for segs in by_line.values():
+        dual.extend(brute_force_dual_one_line(segs))
+    return Multisegment(tuple(dual))
+
+
+def brute_force_lambda(m):
+    """Part i sums the dims of the segments of length >= i."""
+    longest = max((s.length for s in m.segments), default=0)
+    return Partition(
+        tuple(sum(s.dim for s in m.segments if s.length >= i) for i in range(1, longest + 1))
+    )
+
+
+# Supports of up to 8 points on one to three lines of dim 1 or 2, with repeats.
+supports_st = st.lists(
+    st.tuples(st.sampled_from("rst"), st.integers(1, 2)), min_size=1, max_size=3, unique=True
+).flatmap(
+    lambda lines: st.lists(
+        st.builds(
+            lambda line, t: CuspidalLabel(line[0], line[1], twist=t),
+            st.sampled_from(lines),
+            st.integers(-3, 3),
+        ),
+        max_size=8,
+    )
+)
 
 
 def all_anchored(max_degree):
@@ -244,6 +348,16 @@ class TestEnumerateWithSupport:
     def test_bound(self):
         with pytest.raises(BudgetExceededError):
             enumerate_with_support(self.pts(*range(11)))
+
+    @settings(deadline=None)
+    @given(supports_st)
+    def test_matches_brute_force(self, points):
+        out = enumerate_with_support(points)
+        assert out == brute_force_enumerate_with_support(points)
+        assert len(set(out)) == len(out)
+        for m in out:
+            assert mw_dual(m) == brute_force_mw_dual(m)
+            assert lambda_of(m) == brute_force_lambda(m)
 
     def test_wraparound_rejected(self):
         with pytest.raises(WraparoundError):

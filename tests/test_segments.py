@@ -13,6 +13,7 @@ from strata_kit import (
     bottom_minus,
     equivalent,
     inertially_equivalent,
+    linked,
     relate,
     segment_invariants,
     top_minus,
@@ -129,6 +130,34 @@ class TestRelate:
     def test_wraparound_rejected(self):
         with pytest.raises(WraparoundError, match="wraparound"):
             relate(seg(0, 0, period=2), seg(1, 1, period=2))
+
+    def test_linked_matches_relate(self):
+        lines = (("r", 1), ("s", 1), ("r", 2))
+        segs = [
+            seg(a, b, line_id=line_id, dim=dim)
+            for line_id, dim in lines
+            for a in range(-3, 3)
+            for b in range(a, 4)
+        ]
+        for s1, s2 in itertools.product(segs, segs):
+            assert linked(s1, s2) == relate(s1, s2).linked
+
+    @pytest.mark.parametrize(
+        "s1, s2",
+        [
+            (EMPTY_SEGMENT, seg(0, 0)),
+            (seg(0, 0), EMPTY_SEGMENT),
+            (seg(0, 0, period=2), seg(1, 1, period=2)),
+            (seg(0, 0), seg(1, 1, period=2)),
+        ],
+    )
+    def test_linked_raises_like_relate(self, s1, s2):
+        with pytest.raises((ShapeError, WraparoundError)) as want:
+            relate(s1, s2)
+        with pytest.raises(want.type) as got:
+            linked(s1, s2)
+        assert got.type is want.type
+        assert str(got.value) == str(want.value)
 
     def test_precedes_asymmetric(self):
         segs = [seg(a, b) for a in range(-3, 4) for b in range(a, 4)]
