@@ -233,11 +233,44 @@ class _UsageError(Exception):
     pass
 
 
-def _load_multisegment(arg: str) -> Multisegment:
-    data = _load_json(arg)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _decode_multisegment(data, path: str = "") -> Multisegment:
+    """Check the JSON shape of a multisegment, then build it.
+
+    A fault names its path, e.g. ``segments[0].a: expected integer``, below
+    ``path`` when the multisegment is nested in another object.
+    """
     if not isinstance(data, dict) or "segments" not in data:
-        raise _UsageError('expected a multisegment object {"segments": [...]}')
+        where = f"{path}: " if path else ""
+        raise _UsageError(where + 'expected a multisegment object {"segments": [...]}')
+    prefix = f"{path}.segments" if path else "segments"
+    segments = data["segments"]
+    if not isinstance(segments, list):
+        raise _UsageError(f"{prefix}: expected a list")
+    for i, entry in enumerate(segments):
+        where = f"{prefix}[{i}]"
+        if not isinstance(entry, dict):
+            raise _UsageError(f"{where}: expected an object")
+        if entry.get("empty"):
+            continue
+        if not isinstance(entry.get("line"), str):
+            raise _UsageError(f"{where}.line: expected string")
+        for key in ("a", "b"):
+            if not _is_int(entry.get(key)):
+                raise _UsageError(f"{where}.{key}: expected integer")
+        if not _is_int(entry.get("dim", 1)):
+            raise _UsageError(f"{where}.dim: expected integer")
+        period = entry.get("period")
+        if period is not None and not _is_int(period):
+            raise _UsageError(f"{where}.period: expected integer or null")
     return Multisegment.from_json(data)
+
+
+def _load_multisegment(arg: str) -> Multisegment:
+    return _decode_multisegment(_load_json(arg))
 
 
 def _budget(args, fallback: int) -> int:
@@ -318,9 +351,9 @@ def _cmd_strata(args) -> None:
 def _cmd_ring(args) -> None:
     data = _load_json(args.cls)
     if isinstance(data, dict) and "representative" in data:
-        m = Multisegment.from_json(data["representative"])
+        m = _decode_multisegment(data["representative"], "representative")
     elif isinstance(data, dict) and "segments" in data:
-        m = Multisegment.from_json(data)
+        m = _decode_multisegment(data)
     else:
         raise _UsageError("expected an inertial class or multisegment object")
     _emit(args, _render(args, ring_presentation(inertial_class(m)).to_json()))

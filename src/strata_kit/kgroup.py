@@ -15,13 +15,13 @@ pairwise-unlinked multisegment is the product of its segments' classes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ShapeError
 from .multisegments import Multisegment, lambda_of
 from .partitions import Partition
 from .segments import Segment, linked, relate, top_minus
+from .values import Keyed, Value, set_key
 
 # A term is a commutative product of irreducible classes, stored as a
 # canonically sorted tuple of atoms; the empty tuple is the trivial class.
@@ -30,21 +30,30 @@ Term = tuple
 MAX_REWRITE_STEPS = 10000
 
 
-@dataclass(frozen=True)
-class OpaqueDerivative:
+class OpaqueDerivative(Keyed):
     """Placeholder for a derivative component no registered rule computes."""
 
-    source: str
-    degree: int
+    __slots__ = ("source", "degree")
+
+    def __init__(self, source: str, degree: int) -> None:
+        self._init(source, degree)
+        set_key(self, (source, degree))
 
     def __str__(self) -> str:
         return f"?D^{self.degree}({self.source})"
 
 
+def _atom_key(atom) -> tuple:
+    """Structural order of atoms: classes by their keys, then placeholders."""
+    return (atom.__class__ is OpaqueDerivative, atom._key)
+
+
 def _sorted_term(atoms) -> Term:
-    """Canonical commutative product: drop trivial atoms, sort the rest."""
-    kept = [a for a in atoms if isinstance(a, OpaqueDerivative) or len(a) > 0]
-    return tuple(sorted(kept, key=str))
+    """Canonical commutative product: drop trivial atoms, sort the rest.
+
+    Only the trivial class, the empty multisegment, has an empty key.
+    """
+    return tuple(sorted([a for a in atoms if a._key], key=_atom_key))
 
 
 def _add_term(acc: dict, term: Term, coeff: int) -> None:
@@ -56,9 +65,12 @@ def _add_term(acc: dict, term: Term, coeff: int) -> None:
 
 
 def _term_str(term: Term) -> str:
+    """The printed product, its atoms in string order."""
     if not term:
         return "1"
-    return " * ".join(str(a) if isinstance(a, OpaqueDerivative) else f"Z{a}" for a in term)
+    return " * ".join(
+        sorted(str(a) if isinstance(a, OpaqueDerivative) else f"Z{a}" for a in term)
+    )
 
 
 class GradedVirtual:
@@ -337,16 +349,19 @@ def normalize(combo: dict[Term, int]) -> dict[Term, int]:
         nxt: dict[Term, int] = {}
         for term, coeff in current.items():
             rewritten = None
-            if all(isinstance(a, Multisegment) for a in term):
-                for i, j in itertools.combinations(range(len(term)), 2):
-                    rewritten = _try_rewrite_pair(term[i], term[j])
+            if len(term) > 1 and all(isinstance(a, Multisegment) for a in term):
+                # Pairs are tried in the atoms' string order: the normal form
+                # reached depends on which rule fires first.
+                atoms = tuple(sorted(term, key=str))
+                for i, j in itertools.combinations(range(len(atoms)), 2):
+                    rewritten = _try_rewrite_pair(atoms[i], atoms[j])
                     if rewritten is not None:
                         break
             if rewritten is None:
                 _add_term(nxt, term, coeff)
                 continue
             changed = True
-            rest = term[:i] + term[i + 1 : j] + term[j + 1 :]
+            rest = atoms[:i] + atoms[i + 1 : j] + atoms[j + 1 :]
             for atom in rewritten:
                 _add_term(nxt, _sorted_term(rest + (atom,)), coeff)
         current = nxt
@@ -355,13 +370,15 @@ def normalize(combo: dict[Term, int]) -> dict[Term, int]:
     raise ShapeError("rewriting did not terminate within the step budget")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of an identity check: verified, unverifiable, or refuted."""
 
-    status: str
-    reason: str = ""
-    witness_degree: Optional[int] = None
+    __slots__ = ("status", "reason", "witness_degree")
+
+    def __init__(
+        self, status: str, reason: str = "", witness_degree: Optional[int] = None
+    ) -> None:
+        self._init(status, reason, witness_degree)
 
     @property
     def verified(self) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, ShapeError, WraparoundError
@@ -23,26 +23,29 @@ from .segments import (
     support as segment_support,
     union_and_intersection,
 )
+from .values import Keyed, Value, set_key, slot_setters
 
 DEFAULT_SUPPORT_BOUND = 10
 DEFAULT_NODE_BOUND = 5000
 
 
-@dataclass(frozen=True)
-class Multisegment:
+_segment_key = attrgetter("_key")
+
+
+class Multisegment(Keyed):
     """A multiset of nonempty segments, stored canonically sorted.
 
     Empty segments are dropped at construction so truncation maps can be
-    composed freely.
+    composed freely.  The key concatenates the segments' keys.
     """
 
-    segments: tuple[Segment, ...] = ()
+    __slots__ = ("segments",)
 
-    def __post_init__(self) -> None:
-        kept = tuple(
-            sorted((s for s in self.segments if not s.is_empty), key=Segment.sort_key)
-        )
-        object.__setattr__(self, "segments", kept)
+    def __init__(self, segments: Iterable[SegmentLike] = ()) -> None:
+        kept = tuple(sorted([s for s in segments if not s.is_empty], key=_segment_key))
+        _set_segments(self, kept)
+        # Concatenating beats chaining for the few segments a multisegment has.
+        set_key(self, sum(map(_segment_key, kept), ()))
 
     @classmethod
     def of(cls, *segments: SegmentLike) -> "Multisegment":
@@ -82,6 +85,9 @@ class Multisegment:
     @classmethod
     def from_json(cls, data: dict) -> "Multisegment":
         return cls(tuple(Segment.from_json(s) for s in data["segments"]))  # type: ignore[arg-type]
+
+
+(_set_segments,) = slot_setters(Multisegment)
 
 
 def degree(m: Multisegment) -> int:
@@ -129,12 +135,15 @@ def elementary_reductions(m: Multisegment) -> set[Multisegment]:
     return out
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Value):
     """The reduction poset below a multisegment: nodes and covering edges."""
 
-    nodes: tuple[Multisegment, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("nodes", "edges")
+
+    def __init__(
+        self, nodes: tuple[Multisegment, ...], edges: tuple[tuple[int, int], ...]
+    ) -> None:
+        self._init(nodes, edges)
 
     def to_dot(self) -> str:
         lines = ["digraph downset {"]
@@ -228,8 +237,7 @@ def mw_dual(m: Multisegment) -> Multisegment:
     return Multisegment(tuple(dual))
 
 
-@dataclass(frozen=True)
-class InertialClass:
+class InertialClass(Value):
     """A multisegment up to independent unramified twists of its segments.
 
     The representative anchors every segment at start twist 0, so that
@@ -238,8 +246,10 @@ class InertialClass:
     compare equal.
     """
 
-    representative: Multisegment
-    orbit_sizes: tuple[int, ...] = field(default=())
+    __slots__ = ("representative", "orbit_sizes")
+
+    def __init__(self, representative: Multisegment, orbit_sizes: tuple[int, ...] = ()) -> None:
+        self._init(representative, orbit_sizes)
 
     @property
     def degree(self) -> int:

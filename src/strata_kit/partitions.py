@@ -6,28 +6,28 @@ partition is allowed.  All values are immutable and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, ShapeError, WeightMismatchError
+from .values import Keyed, set_key, slot_setters
 
 DEFAULT_ENUMERATION_BOUND = 40
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing sequence of positive integers."""
+class Partition(Keyed):
+    """A weakly decreasing sequence of positive integers; the key is ``parts``."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int] = ()) -> None:
+        parts = tuple(parts)
         for i, p in enumerate(parts):
             if p < 1:
                 raise ShapeError(f"partition parts must be positive, got {p}")
             if i > 0 and parts[i - 1] < p:
                 raise ShapeError(f"partition parts must be weakly decreasing: {parts}")
+        _set_parts(self, parts)
+        set_key(self, parts)
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -62,6 +62,9 @@ class Partition:
     @classmethod
     def from_json(cls, data: list[int]) -> "Partition":
         return cls(tuple(data))
+
+
+(_set_parts,) = slot_setters(Partition)
 
 
 def conjugate(lam: Partition) -> Partition:

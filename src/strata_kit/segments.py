@@ -12,14 +12,13 @@ equality.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ShapeError, WraparoundError
+from .values import Keyed, Value, set_key, slot_setters
 
 
-@dataclass(frozen=True)
-class CuspidalLabel:
+class CuspidalLabel(Keyed):
     """A point on a cuspidal line: the base representation twisted ``twist`` times.
 
     ``period`` is None for a line with infinite twist orbit and a positive
@@ -27,18 +26,22 @@ class CuspidalLabel:
     twist is stored reduced mod e.
     """
 
-    line_id: str
-    dim: int = 1
-    period: Optional[int] = None
-    twist: int = 0
+    __slots__ = ("line_id", "dim", "period", "twist")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(
+        self, line_id: str, dim: int = 1, period: Optional[int] = None, twist: int = 0
+    ) -> None:
+        if dim < 1:
             raise ShapeError("cuspidal dimension must be >= 1")
-        if self.period is not None:
-            if self.period < 1:
+        if period is not None:
+            if period < 1:
                 raise ShapeError("twist period must be >= 1")
-            object.__setattr__(self, "twist", self.twist % self.period)
+            twist %= period
+        _set_line_id(self, line_id)
+        _set_dim(self, dim)
+        _set_period(self, period)
+        _set_twist(self, twist)
+        set_key(self, (line_id, dim, period is not None, period or 0, twist))
 
     @property
     def infinite_period(self) -> bool:
@@ -60,6 +63,9 @@ class CuspidalLabel:
             and self.period == other.period
             and self.twist == other.twist
         )
+
+
+_set_line_id, _set_dim, _set_period, _set_twist = slot_setters(CuspidalLabel)
 
 
 class EmptySegment:
@@ -84,31 +90,31 @@ class EmptySegment:
 EMPTY_SEGMENT = EmptySegment()
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Keyed):
     """The segment [a, b] on a cuspidal line, with b >= a in absolute twists.
 
     A nonzero twist on the label is folded into the endpoints at
     construction, so the stored label is always the line's base point; on a
     line of finite period e the start is then reduced into [0, e), so that
-    equivalent segments compare equal.
+    equivalent segments compare equal.  The key is :meth:`sort_key`.
     """
 
-    cuspidal: CuspidalLabel
-    a: int
-    b: int
+    __slots__ = ("cuspidal", "a", "b")
 
     is_empty = False
 
-    def __post_init__(self) -> None:
-        if self.b < self.a:
-            raise ShapeError(f"segment needs b >= a, got [{self.a},{self.b}]")
-        c = self.cuspidal
+    def __init__(self, cuspidal: CuspidalLabel, a: int, b: int) -> None:
+        if b < a:
+            raise ShapeError(f"segment needs b >= a, got [{a},{b}]")
+        c = cuspidal
         if c.twist != 0 or c.period is not None:
-            a = c.reduce(self.a + c.twist)
-            object.__setattr__(self, "cuspidal", c.base())
-            object.__setattr__(self, "b", self.b + a - self.a)
-            object.__setattr__(self, "a", a)
+            start = c.reduce(a + c.twist)
+            a, b = start, b + start - a
+            c = c.base()
+        _set_cuspidal(self, c)
+        _set_a(self, a)
+        _set_b(self, b)
+        set_key(self, (c.line_id, c.dim, c.period is not None, c.period or 0, -b, a))
 
     @property
     def length(self) -> int:
@@ -139,8 +145,7 @@ class Segment:
     def sort_key(self) -> tuple:
         """Deterministic structural key; orders by line, then end descending,
         then start ascending (containing segments first among equal ends)."""
-        c = self.cuspidal
-        return (c.line_id, c.dim, c.period is not None, c.period or 0, -self.b, self.a)
+        return self._key
 
     def __str__(self) -> str:
         return f"[{self.a},{self.b}]_{self.line_id}"
@@ -165,6 +170,8 @@ class Segment:
         )
         return cls(label, data["a"], data["b"])
 
+
+_set_cuspidal, _set_a, _set_b = slot_setters(Segment)
 
 SegmentLike = Union[Segment, EmptySegment]
 
@@ -198,8 +205,7 @@ def inertially_equivalent(s1: SegmentLike, s2: SegmentLike) -> bool:
     return s1.length == s2.length and s1.cuspidal == s2.cuspidal
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """How two segments sit relative to each other on their lines.
 
     ``precedes`` means the first segment is linked with the second and
@@ -208,14 +214,19 @@ class Relation:
     (always true across distinct lines).
     """
 
-    same_line: bool
-    precedes: bool
-    preceded_by: bool
-    linked: bool
-    juxtaposed: bool
-    contains: bool
-    contained_in: bool
-    disjoint: bool
+    __slots__ = (
+        "same_line", "precedes", "preceded_by", "linked",
+        "juxtaposed", "contains", "contained_in", "disjoint",
+    )
+
+    def __init__(
+        self, same_line: bool, precedes: bool, preceded_by: bool, linked: bool,
+        juxtaposed: bool, contains: bool, contained_in: bool, disjoint: bool,
+    ) -> None:
+        self._init(
+            same_line, precedes, preceded_by, linked,
+            juxtaposed, contains, contained_in, disjoint,
+        )
 
 
 def _check_linkable(s1: Segment, s2: Segment) -> None:

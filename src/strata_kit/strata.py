@@ -12,37 +12,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, ShapeError, WeightMismatchError, WraparoundError
 from .multisegments import InertialClass, Multisegment, inertial_class, lambda_of
 from .partitions import Partition, conjugate, dominance_leq
 from .segments import CuspidalLabel, Segment
+from .values import Value
 
 DEFAULT_COMPONENT_BOUND = 10000
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(Value):
     """A finite family of cuspidal lines and a total degree to stratify."""
 
-    lines: tuple[CuspidalLabel, ...]
-    n: int
-    support_budget: Optional[int] = None
+    __slots__ = ("lines", "n", "support_budget")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(
+        self, lines: tuple[CuspidalLabel, ...], n: int, support_budget: Optional[int] = None
+    ) -> None:
+        if n < 1:
             raise ShapeError("total degree must be >= 1")
-        if not self.lines:
+        if not lines:
             raise ShapeError("block needs at least one cuspidal line")
-        bases = [line.base() for line in self.lines]
+        bases = [line.base() for line in lines]
         for i, line in enumerate(bases):
             if line in bases[:i]:
                 raise ShapeError(
                     f"block repeats the cuspidal line {line.line_id} "
                     f"(dim {line.dim}, period {line.period})"
                 )
+        self._init(lines, n, support_budget)
 
     @property
     def infinite_period(self) -> bool:
@@ -67,8 +67,7 @@ class BlockSpec:
         return cls(lines, data["n"], data.get("support_budget"))
 
 
-@dataclass(frozen=True)
-class InvariantRingPresentation:
+class InvariantRingPresentation(Value):
     """Polynomial presentation of a stratum component's endomorphism ring.
 
     One variable per segment of the class representative; variables of
@@ -78,10 +77,16 @@ class InvariantRingPresentation:
     recorded in ``units`` rather than by carrying out a localization.
     """
 
-    variables: tuple[str, ...]
-    orbits: tuple[tuple[str, ...], ...]
-    generators: tuple[str, ...]
-    units: tuple[str, ...]
+    __slots__ = ("variables", "orbits", "generators", "units")
+
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        orbits: tuple[tuple[str, ...], ...],
+        generators: tuple[str, ...],
+        units: tuple[str, ...],
+    ) -> None:
+        self._init(variables, orbits, generators, units)
 
     @property
     def dimension(self) -> int:
@@ -96,12 +101,17 @@ class InvariantRingPresentation:
         }
 
 
-@dataclass(frozen=True)
-class StratumReport:
+class StratumReport(Value):
     """All inertial components of one stratum, with their ring presentations."""
 
-    lam: Partition
-    components: tuple[tuple[InertialClass, InvariantRingPresentation], ...]
+    __slots__ = ("lam", "components")
+
+    def __init__(
+        self,
+        lam: Partition,
+        components: tuple[tuple[InertialClass, InvariantRingPresentation], ...],
+    ) -> None:
+        self._init(lam, components)
 
     def to_json(self) -> dict:
         return {

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strata_kit
 
@@ -193,6 +194,41 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert run(["ext", "--r", "3", "--nope"]) == 2
 
+    @pytest.mark.parametrize("verb", [["lambda"], ["dual"], ["poset"], ["ring", "--class"]])
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"segments":[{"line":"r","b":0}]}', "segments[0].a: expected integer"),
+            ('{"segments":[{"line":"r","a":"x","b":0}]}', "segments[0].a: expected integer"),
+            ('{"segments":5}', "segments: expected a list"),
+            (
+                '{"segments":[{"line":"r","dim":true,"a":0,"b":0}]}',
+                "segments[0].dim: expected integer",
+            ),
+            (
+                '{"segments":[{"line":"r","period":true,"a":0,"b":0}]}',
+                "segments[0].period: expected integer or null",
+            ),
+        ],
+        ids=["missing-a", "string-a", "segments-not-list", "bool-dim", "bool-period"],
+    )
+    def test_malformed_multisegment(self, capsys, verb, text, message):
+        assert invoke(capsys, *verb, text) == (2, "", f"error: {message}\n")
+
+    def test_malformed_nested_representative(self, capsys):
+        for text, message in (
+            ('{"representative":{}}', "representative: expected a multisegment object"),
+            (
+                '{"representative":{"segments":[{"line":"r","a":0,"b":true}]}}',
+                "representative.segments[0].b: expected integer",
+            ),
+            ('{"segments":[{"a":0,"b":0}]}', "segments[0].line: expected string"),
+            ('{"segments":[[0,0]]}', "segments[0]: expected an object"),
+        ):
+            code, out, err = invoke(capsys, "ring", "--class", text)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -254,3 +290,23 @@ def test_module_entry_point_has_clean_stderr():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[1,2,1]\n", b"")
+
+
+json_scalar_st = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["r", "s", "", "x"]),
+    st.floats(-2, 2), st.just([]), st.just({}),
+)
+segment_json_st = st.one_of(
+    st.dictionaries(st.sampled_from(["line", "dim", "period", "a", "b", "empty"]), json_scalar_st),
+    json_scalar_st,
+)
+
+
+# invoke() drains capsys on every call, so one fixture serves every example.
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["lambda", "dual"]), st.one_of(st.lists(segment_json_st, max_size=3), json_scalar_st))
+def test_multisegment_json_fuzz_never_raises(capsys, verb, segments):
+    """Any JSON shape ends in a documented exit code, never an exception."""
+    code, _, err = invoke(capsys, verb, json.dumps({"segments": segments}))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

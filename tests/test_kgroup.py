@@ -25,12 +25,13 @@ from strata_kit import (
     weirdcase_constituents,
 )
 from strata_kit.cli import parse_expression
+from strata_kit.kgroup import OpaqueDerivative, _sorted_term
 
 from conftest import mseg, seg
 
 
 def term_of(*pairs):
-    return tuple(sorted((mseg(p) for p in pairs), key=str))
+    return _sorted_term(mseg(p) for p in pairs)
 
 
 def product(*segments):
@@ -328,3 +329,37 @@ def test_derivative_entry_points_agree(segs):
     total = total_derivative(x)
     for g in range(total.top_degree() + 1):
         assert DerivativeExpr(g, x) == GradedVirtual({0: total.layer(g)})
+
+
+def test_lines_of_one_name_and_two_dims_give_one_term():
+    """Atoms that print alike still sort by their structure, not input order."""
+    a = ZClass(Multisegment.of(Segment(CuspidalLabel("r", 1), 0, 0)))
+    b = ZClass(Multisegment.of(Segment(CuspidalLabel("r", 2), 0, 0)))
+    x, y = ProductExpr([a, b]), ProductExpr([b, a])
+    assert x == y
+    ((term, coeff),) = SumExpr([x, y]).layer(0).items()
+    assert (len(term), coeff) == (2, 2)
+
+
+LINES = [CuspidalLabel("r", 1), CuspidalLabel("r", 2), CuspidalLabel("s"), CuspidalLabel("r", 1, 3)]
+# Classes that all print as {[0,0]_r}: their string order is a tie.
+TWINS = [Multisegment.of(Segment(c, 0, 0)) for c in LINES if c.line_id == "r"]
+atoms_st = st.lists(
+    st.one_of(
+        st.sampled_from(TWINS),
+        st.lists(
+            st.tuples(st.sampled_from(LINES), st.integers(0, 1), st.integers(0, 1)),
+            max_size=2,
+        ).map(lambda segs: Multisegment.of(*(Segment(c, a, a + n) for c, a, n in segs))),
+        st.builds(OpaqueDerivative, st.sampled_from(["Z{[0,0]_r}", "Z{[0,1]_r}"]), st.integers(1, 2)),
+    ),
+    max_size=5,
+)
+
+
+@given(atoms_st, st.data())
+def test_sorted_term_ignores_atom_order(atoms, data):
+    term = _sorted_term(atoms)
+    assert _sorted_term(atoms[::-1]) == term
+    assert _sorted_term(data.draw(st.permutations(atoms))) == term
+    assert sorted(map(repr, term)) == sorted(repr(a) for a in atoms if a != Multisegment())
