@@ -5,6 +5,7 @@ identities, and invariant-ring presentations of stratum components.
 
 from .errors import (
     BudgetExceededError,
+    InputError,
     ShapeError,
     StrataKitError,
     WeightMismatchError,

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import StrataKitError
+from .errors import InputError, StrataKitError, expect
 from .kgroup import (
     DerivativeExpr,
     GradedVirtual,
@@ -47,7 +47,7 @@ DEFAULT_LINE_ID = "r"
 BUDGET_ENV_VAR = "STRATAKIT_BUDGET"
 
 
-class ExpressionSyntaxError(StrataKitError):
+class ExpressionSyntaxError(InputError):
     """Syntax error in a K-group expression, with 1-based position info."""
 
     def __init__(self, message: str, line: int, column: int) -> None:
@@ -224,53 +224,13 @@ def _load_json(arg: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _UsageError(
+        raise InputError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _decode_multisegment(data, path: str = "") -> Multisegment:
-    """Check the JSON shape of a multisegment, then build it.
-
-    A fault names its path, e.g. ``segments[0].a: expected integer``, below
-    ``path`` when the multisegment is nested in another object.
-    """
-    if not isinstance(data, dict) or "segments" not in data:
-        where = f"{path}: " if path else ""
-        raise _UsageError(where + 'expected a multisegment object {"segments": [...]}')
-    prefix = f"{path}.segments" if path else "segments"
-    segments = data["segments"]
-    if not isinstance(segments, list):
-        raise _UsageError(f"{prefix}: expected a list")
-    for i, entry in enumerate(segments):
-        where = f"{prefix}[{i}]"
-        if not isinstance(entry, dict):
-            raise _UsageError(f"{where}: expected an object")
-        if entry.get("empty"):
-            continue
-        if not isinstance(entry.get("line"), str):
-            raise _UsageError(f"{where}.line: expected string")
-        for key in ("a", "b"):
-            if not _is_int(entry.get(key)):
-                raise _UsageError(f"{where}.{key}: expected integer")
-        if not _is_int(entry.get("dim", 1)):
-            raise _UsageError(f"{where}.dim: expected integer")
-        period = entry.get("period")
-        if period is not None and not _is_int(period):
-            raise _UsageError(f"{where}.period: expected integer or null")
-    return Multisegment.from_json(data)
-
-
 def _load_multisegment(arg: str) -> Multisegment:
-    return _decode_multisegment(_load_json(arg))
+    return Multisegment.from_json(_load_json(arg))
 
 
 def _budget(args, fallback: int) -> int:
@@ -281,7 +241,7 @@ def _budget(args, fallback: int) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise _UsageError(f"{BUDGET_ENV_VAR} must be an integer") from exc
+            raise InputError(f"{BUDGET_ENV_VAR} must be an integer") from exc
     return fallback
 
 
@@ -351,11 +311,11 @@ def _cmd_strata(args) -> None:
 def _cmd_ring(args) -> None:
     data = _load_json(args.cls)
     if isinstance(data, dict) and "representative" in data:
-        m = _decode_multisegment(data["representative"], "representative")
+        m = Multisegment.from_json(data["representative"], "representative")
     elif isinstance(data, dict) and "segments" in data:
-        m = _decode_multisegment(data)
+        m = Multisegment.from_json(data)
     else:
-        raise _UsageError("expected an inertial class or multisegment object")
+        raise InputError("expected an inertial class or multisegment object")
     _emit(args, _render(args, ring_presentation(inertial_class(m)).to_json()))
 
 
@@ -372,27 +332,23 @@ def _cmd_kgroup_check(args) -> None:
     _emit(args, str(check_identity(lhs, rhs)))
 
 
+def _support_point(entry, where: str) -> CuspidalLabel:
+    """A line object with a ``twist`` field, or a ``[line, twist]`` pair."""
+    if isinstance(entry, dict):
+        line = CuspidalLabel.from_json(entry, where)
+        twist = expect(entry.get("twist"), int, f"{where}.twist")
+        return CuspidalLabel(line.line_id, line.dim, line.period, twist)
+    if isinstance(entry, list) and len(entry) == 2:
+        line_id = expect(entry[0], str, f"{where}[0]")
+        return CuspidalLabel(line_id, twist=expect(entry[1], int, f"{where}[1]"))
+    raise InputError("expected an object with a twist, or a [line, twist] pair", where)
+
+
 def _cmd_enumerate(args) -> None:
     data = _load_json(args.support)
     if not isinstance(data, list):
-        raise _UsageError("expected a JSON array of support points")
-    points = []
-    for entry in data:
-        if isinstance(entry, dict):
-            points.append(
-                CuspidalLabel(
-                    entry["line"],
-                    entry.get("dim", 1),
-                    entry.get("period"),
-                    entry["twist"],
-                )
-            )
-        elif isinstance(entry, list) and len(entry) == 2:
-            points.append(CuspidalLabel(entry[0], 1, None, entry[1]))
-        else:
-            raise _UsageError(
-                'support points must be {"line":...,"twist":...} or [line, twist]'
-            )
+        raise InputError("expected a JSON array of support points")
+    points = [_support_point(entry, f"[{i}]") for i, entry in enumerate(data)]
     out = enumerate_with_support(points, bound=_budget(args, DEFAULT_SUPPORT_BOUND))
     _emit(args, _render(args, [m.to_json() for m in out]))
 
@@ -471,7 +427,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except (_UsageError, ExpressionSyntaxError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StrataKitError as exc:

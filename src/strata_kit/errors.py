@@ -19,3 +19,36 @@ class WraparoundError(StrataKitError):
 
 class ShapeError(StrataKitError):
     """Input does not have the shape required by an operation's precondition."""
+
+
+class InputError(StrataKitError):
+    """Malformed input from outside the program, such as a JSON value without
+    its documented shape; the command line exits 2 on it.
+
+    ``where`` is the path of the fault, such as ``segments[0].a``; the
+    message starts with it unless the fault is in the input as a whole.
+    A path built on the empty root starts with a dot, which is dropped.
+    """
+
+    def __init__(self, message: str, where: str = "") -> None:
+        where = where.lstrip(".")
+        super().__init__(f"{where}: {message}" if where else message)
+
+
+_EXPECTED = {
+    int: "integer",
+    str: "string",
+    list: "a list",
+    dict: "an object",
+    (int, type(None)): "integer or null",
+}
+
+
+def expect(value, kind, where: str):
+    """``value`` if it is of the JSON kind ``kind``, else an InputError at ``where``.
+
+    ``kind`` is a key of the table above; a bool is never an integer.
+    """
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise InputError(f"expected {_EXPECTED[kind]}", where)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .errors import ShapeError
+from .errors import ShapeError, WraparoundError
 from .multisegments import Multisegment, lambda_of
 from .partitions import Partition
 from .segments import Segment, linked, relate, top_minus
@@ -224,8 +224,7 @@ def total_derivative(x: GradedVirtual) -> GradedVirtual:
 
 def highest_derivative_of_product(m: Multisegment) -> tuple[Partition, Multisegment]:
     """(highest derivative partition, the multisegment with every top twist removed)."""
-    truncated = Multisegment(tuple(s for s in (top_minus(d) for d in m.segments) if not s.is_empty))  # type: ignore[arg-type]
-    return lambda_of(m), truncated
+    return lambda_of(m), Multisegment(top_minus(d) for d in m.segments)
 
 
 def resolve_pair(d1: Segment, d2: Segment) -> list[Multisegment]:
@@ -254,7 +253,10 @@ def weirdcase_constituents(alpha: int, delta: Segment) -> list[Multisegment]:
 
     For any delta ending at alpha-1 the two constituents are
     {[alpha+1,alpha+1], [alpha,alpha], delta} and {[alpha,alpha+1], delta}.
+    Requires an infinite-period line, as :func:`resolve_pair` does.
     """
+    if not (delta.is_empty or delta.infinite_period):
+        raise WraparoundError("weirdcase undefined with wraparound")
     if delta.is_empty or delta.b != alpha - 1:
         raise ShapeError("expected a segment ending at alpha-1")
     line = delta.cuspidal

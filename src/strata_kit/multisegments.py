@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter
+from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .errors import BudgetExceededError, ShapeError, WraparoundError
+from .errors import BudgetExceededError, InputError, WraparoundError, expect
 from .partitions import Partition
 from .segments import (
     EMPTY_SEGMENT,
@@ -49,7 +50,7 @@ class Multisegment(Keyed):
 
     @classmethod
     def of(cls, *segments: SegmentLike) -> "Multisegment":
-        return cls(tuple(s for s in segments if not s.is_empty))  # type: ignore[arg-type]
+        return cls(segments)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -73,8 +74,8 @@ class Multisegment(Keyed):
 
     def replace_pair(self, i: int, j: int, new: Iterable[SegmentLike]) -> "Multisegment":
         rest = [s for k, s in enumerate(self.segments) if k not in (i, j)]
-        rest.extend(s for s in new if not s.is_empty)
-        return Multisegment(tuple(rest))
+        rest.extend(new)
+        return Multisegment(rest)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(s) for s in self.segments) + "}"
@@ -83,8 +84,17 @@ class Multisegment(Keyed):
         return {"segments": [s.to_json() for s in self.segments]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Multisegment":
-        return cls(tuple(Segment.from_json(s) for s in data["segments"]))  # type: ignore[arg-type]
+    def from_json(cls, data, where: str = "") -> "Multisegment":
+        """Decode ``{"segments": [...]}``; ``where`` is its path, empty at the root.
+
+        Segments are checked and built in document order, and the first
+        fault is reported with its path, e.g. ``segments[0].a``.
+        """
+        if not isinstance(data, dict) or "segments" not in data:
+            raise InputError('expected a multisegment object {"segments": [...]}', where)
+        where += ".segments"
+        segments = expect(data["segments"], list, where)
+        return cls(Segment.from_json(s, f"{where}[{i}]") for i, s in enumerate(segments))
 
 
 (_set_segments,) = slot_setters(Multisegment)
@@ -113,12 +123,13 @@ def canonical_order(m: Multisegment) -> list[Segment]:
     """Segments ordered so no segment precedes a later one.
 
     Within a line the order is by end twist descending, then start twist
-    ascending; distinct lines are separated by the line-id tie-break.
-    Requires infinite-period lines, since precedence is a linking notion.
+    ascending; distinct lines are separated by the line-id tie-break.  This
+    is the order a multisegment stores its segments in.  Requires
+    infinite-period lines, since precedence is a linking notion.
     """
     if not m.infinite_period:
         raise WraparoundError("canonical order undefined with wraparound")
-    return sorted(m.segments, key=Segment.sort_key)
+    return list(m.segments)
 
 
 def elementary_reductions(m: Multisegment) -> set[Multisegment]:
@@ -269,8 +280,7 @@ class InertialClass(Value):
 
     def distinct_segments(self) -> list[tuple[Segment, int]]:
         """Distinct inertial segments of the representative with multiplicities."""
-        counts: Counter = Counter(self.representative.segments)
-        return sorted(counts.items(), key=lambda kv: kv[0].sort_key())
+        return [(s, len(list(run))) for s, run in groupby(self.representative.segments)]
 
     def to_json(self) -> dict:
         return {
@@ -284,11 +294,7 @@ def inertial_class(m: Multisegment) -> InertialClass:
     rep = Multisegment(
         tuple(Segment(s.cuspidal, 0, s.length - 1) for s in m.segments)
     )
-    counts = Counter(rep.segments)
-    sizes = tuple(
-        counts[s] for s, _ in sorted(counts.items(), key=lambda kv: kv[0].sort_key())
-    )
-    return InertialClass(rep, sizes)
+    return InertialClass(rep, tuple(len(list(run)) for _, run in groupby(rep.segments)))
 
 
 def enumerate_with_support(

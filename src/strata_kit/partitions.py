@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError, ShapeError, WeightMismatchError
+from .errors import BudgetExceededError, ShapeError, WeightMismatchError, expect
 from .values import Keyed, set_key, slot_setters
 
 DEFAULT_ENUMERATION_BOUND = 40
@@ -60,8 +60,10 @@ class Partition(Keyed):
         return list(self.parts)
 
     @classmethod
-    def from_json(cls, data: list[int]) -> "Partition":
-        return cls(tuple(data))
+    def from_json(cls, data, where: str = "") -> "Partition":
+        """Decode a list of parts; ``where`` is its path, empty at the root."""
+        parts = expect(data, list, where)
+        return cls(expect(p, int, f"{where}[{i}]") for i, p in enumerate(parts))
 
 
 (_set_parts,) = slot_setters(Partition)

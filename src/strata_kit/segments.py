@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, Union
 
-from .errors import ShapeError, WraparoundError
+from .errors import ShapeError, WraparoundError, expect
 from .values import Keyed, Value, set_key, slot_setters
 
 
@@ -54,6 +54,16 @@ class CuspidalLabel(Keyed):
     def reduce(self, t: int) -> int:
         """Reduce an absolute twist exponent mod the period."""
         return t if self.period is None else t % self.period
+
+    @classmethod
+    def from_json(cls, data, where: str) -> "CuspidalLabel":
+        """The base point of the line named by an object's ``line``, ``dim``
+        and ``period`` fields; ``where`` is the object's path."""
+        return cls(
+            expect(expect(data, dict, where).get("line"), str, f"{where}.line"),
+            expect(data.get("dim", 1), int, f"{where}.dim"),
+            expect(data.get("period"), (int, type(None)), f"{where}.period"),
+        )
 
     def isomorphic(self, other: "CuspidalLabel") -> bool:
         """Same line and same reduced twist."""
@@ -160,15 +170,14 @@ class Segment(Keyed):
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SegmentLike":
-        if data.get("empty"):
+    def from_json(cls, data, where: str = "") -> "SegmentLike":
+        """Decode the object :meth:`to_json` writes, or ``{"empty": true}``;
+        ``where`` is its path."""
+        if expect(data, dict, where).get("empty"):
             return EMPTY_SEGMENT
-        label = CuspidalLabel(
-            line_id=data["line"],
-            dim=data.get("dim", 1),
-            period=data.get("period"),
-        )
-        return cls(label, data["a"], data["b"])
+        line = CuspidalLabel.from_json(data, where)
+        a = expect(data.get("a"), int, f"{where}.a")
+        return cls(line, a, expect(data.get("b"), int, f"{where}.b"))
 
 
 _set_cuspidal, _set_a, _set_b = slot_setters(Segment)

@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BudgetExceededError, ShapeError, WeightMismatchError, WraparoundError
+from .errors import BudgetExceededError, ShapeError, WeightMismatchError, WraparoundError, expect
 from .multisegments import InertialClass, Multisegment, inertial_class, lambda_of
 from .partitions import Partition, conjugate, dominance_leq
 from .segments import CuspidalLabel, Segment
@@ -26,11 +26,9 @@ DEFAULT_COMPONENT_BOUND = 10000
 class BlockSpec(Value):
     """A finite family of cuspidal lines and a total degree to stratify."""
 
-    __slots__ = ("lines", "n", "support_budget")
+    __slots__ = ("lines", "n")
 
-    def __init__(
-        self, lines: tuple[CuspidalLabel, ...], n: int, support_budget: Optional[int] = None
-    ) -> None:
+    def __init__(self, lines: tuple[CuspidalLabel, ...], n: int) -> None:
         if n < 1:
             raise ShapeError("total degree must be >= 1")
         if not lines:
@@ -42,29 +40,20 @@ class BlockSpec(Value):
                     f"block repeats the cuspidal line {line.line_id} "
                     f"(dim {line.dim}, period {line.period})"
                 )
-        self._init(lines, n, support_budget)
+        self._init(lines, n)
 
     @property
     def infinite_period(self) -> bool:
         return all(line.infinite_period for line in self.lines)
 
-    def to_json(self) -> dict:
-        return {
-            "lines": [
-                {"line": l.line_id, "dim": l.dim, "period": l.period}
-                for l in self.lines
-            ],
-            "n": self.n,
-            "support_budget": self.support_budget,
-        }
-
     @classmethod
-    def from_json(cls, data: dict) -> "BlockSpec":
-        lines = tuple(
-            CuspidalLabel(d["line"], d.get("dim", 1), d.get("period"))
-            for d in data["lines"]
+    def from_json(cls, data, where: str = "") -> "BlockSpec":
+        """Decode ``{"lines": [...], "n": ...}``; ``where`` is its path, empty at the root."""
+        lines = expect(expect(data, dict, where).get("lines"), list, f"{where}.lines")
+        return cls(
+            tuple(CuspidalLabel.from_json(d, f"{where}.lines[{i}]") for i, d in enumerate(lines)),
+            expect(data.get("n"), int, f"{where}.n"),
         )
-        return cls(lines, data["n"], data.get("support_budget"))
 
 
 class InvariantRingPresentation(Value):
@@ -174,7 +163,9 @@ def ring_presentation(cls: InertialClass) -> InvariantRingPresentation:
     )
 
 
-def components(block: BlockSpec, lam: Partition, bound: Optional[int] = None) -> StratumReport:
+def components(
+    block: BlockSpec, lam: Partition, bound: int = DEFAULT_COMPONENT_BOUND
+) -> StratumReport:
     """Inertial components of the stratum lam over the block, with rings.
 
     The classes are generated from lam directly: lam_l - lam_(l+1) is the
@@ -186,7 +177,6 @@ def components(block: BlockSpec, lam: Partition, bound: Optional[int] = None) ->
         raise WeightMismatchError("incomparable weights")
     if not block.infinite_period:
         raise WraparoundError("component enumeration undefined with wraparound")
-    limit = bound if bound is not None else (block.support_budget or DEFAULT_COMPONENT_BOUND)
     lines = sorted(block.lines, key=lambda l: (l.line_id, l.dim))
     splits = []
     for length in range(1, lam.length + 1):
@@ -196,8 +186,8 @@ def components(block: BlockSpec, lam: Partition, bound: Optional[int] = None) ->
             k for k in itertools.product(*ranges)
             if sum(line.dim * copies for line, copies in zip(lines, k)) == count
         ])
-    if math.prod(map(len, splits)) > limit:
-        raise BudgetExceededError(f"component enumeration bound {limit} exceeded")
+    if math.prod(map(len, splits)) > bound:
+        raise BudgetExceededError(f"component enumeration bound {bound} exceeded")
     # str() omits the dim, so classes over lines of one name can print
     # alike; such ties keep the order of their segment counts, line by line.
     choices = sorted(itertools.product(*splits), key=lambda p: list(zip(*p)))
@@ -225,15 +215,13 @@ def point_to_multisegment(
     assignments differing by a permutation within an orbit give equal
     multisegments.
     """
-    expanded: list[Segment] = []
-    for seg, mult in cls.distinct_segments():
-        expanded.extend([seg] * mult)
-    if len(tokens) != len(expanded):
+    segments = cls.representative.segments
+    if len(tokens) != len(segments):
         raise ShapeError(
-            f"expected {len(expanded)} tokens, got {len(tokens)}"
+            f"expected {len(segments)} tokens, got {len(tokens)}"
         )
     shifted = []
-    for seg, tok in zip(expanded, tokens):
+    for seg, tok in zip(segments, tokens):
         if tok is None:
             raise ShapeError("missing twist token")
         shifted.append(seg.shifted(tok))

@@ -230,6 +230,50 @@ class TestExitCodes:
             assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["enumerate", "--support", '[{"line":"r"}]'], "[0].twist: expected integer"),
+            (["enumerate", "--support", '[["r","x"]]'], "[0][1]: expected integer"),
+            (["enumerate", "--support", '[[5,0]]'], "[0][0]: expected string"),
+            (
+                ["enumerate", "--support", '[["r",0],{"line":"r","twist":1.5}]'],
+                "[1].twist: expected integer",
+            ),
+            (
+                ["enumerate", "--support", "[5]"],
+                "[0]: expected an object with a twist, or a [line, twist] pair",
+            ),
+            (
+                ["strata", "--block", '{"lines":[{"line":"r"}],"n":"x"}', "--lambda", "[1]"],
+                "n: expected integer",
+            ),
+            (
+                ["strata", "--block", '{"lines":[{"line":"r"}],"n":2}', "--lambda", '[1,"a"]'],
+                "[1]: expected integer",
+            ),
+            (
+                [
+                    "strata", "--block", '{"lines":[{"line":"r","dim":true}],"n":2}',
+                    "--lambda", "[2]",
+                ],
+                "lines[0].dim: expected integer",
+            ),
+            (
+                ["strata", "--block", '{"lines":[{"line":"r"},[]],"n":2}', "--lambda", "[2]"],
+                "lines[1]: expected an object",
+            ),
+            (["strata", "--block", '{"n":2}', "--lambda", "[2]"], "lines: expected a list"),
+        ],
+        ids=[
+            "point-missing-twist", "pair-string-twist", "pair-int-line", "point-float-twist",
+            "point-not-object", "block-string-n", "lambda-string-part", "block-bool-dim",
+            "block-line-not-object", "block-missing-lines",
+        ],
+    )
+    def test_malformed_input_names_its_path(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["lambda", MSEG_01, "--budget", "3"],
@@ -308,5 +352,41 @@ segment_json_st = st.one_of(
 def test_multisegment_json_fuzz_never_raises(capsys, verb, segments):
     """Any JSON shape ends in a documented exit code, never an exception."""
     code, _, err = invoke(capsys, verb, json.dumps({"segments": segments}))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+line_json_st = st.dictionaries(st.sampled_from(["line", "dim", "period", "twist"]), json_scalar_st)
+block_json_st = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["lines", "n"]),
+        st.one_of(st.lists(st.one_of(line_json_st, json_scalar_st), max_size=2), json_scalar_st),
+    ),
+    json_scalar_st,
+)
+support_json_st = st.one_of(
+    st.lists(
+        st.one_of(line_json_st, st.lists(json_scalar_st, min_size=2, max_size=2), json_scalar_st),
+        max_size=4,
+    ),
+    json_scalar_st,
+)
+input_argv_st = st.one_of(
+    st.tuples(
+        st.just("strata"),
+        st.just("--block"),
+        block_json_st.map(json.dumps),
+        st.just("--lambda"),
+        st.one_of(st.lists(json_scalar_st, max_size=3), json_scalar_st).map(json.dumps),
+    ),
+    st.tuples(st.just("enumerate"), st.just("--support"), support_json_st.map(json.dumps)),
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(input_argv_st)
+def test_block_lambda_and_support_json_fuzz_never_raises(capsys, argv):
+    """Blocks, partitions and support points end in a documented exit code too."""
+    code, _, err = invoke(capsys, *argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err

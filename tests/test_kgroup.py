@@ -13,6 +13,7 @@ from strata_kit import (
     Segment,
     ShapeError,
     SumExpr,
+    WraparoundError,
     ZClass,
     check_identity,
     dominance_leq,
@@ -169,6 +170,14 @@ class TestWeirdcase:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             weirdcase_constituents(2, seg(0, 0))
+
+    @pytest.mark.parametrize("alpha,a,b", [(1, 0, 0), (4, 3, 3)])
+    def test_finite_period_line_raises(self, alpha, a, b):
+        """As resolve_pair does, instead of wrapping the constituents round the line."""
+        with pytest.raises(WraparoundError):
+            weirdcase_constituents(alpha, seg(a, b, period=3))
+        with pytest.raises(WraparoundError):
+            resolve_pair(seg(alpha, alpha, period=3), seg(a, b, period=3))
 
 
 class TestCheckIdentity:

@@ -74,8 +74,7 @@ VALUES = [
     (
         BlockSpec((R,), 3),
         "n",
-        "BlockSpec(lines=(CuspidalLabel(line_id='r', dim=1, period=None, twist=0),), "
-        "n=3, support_budget=None)",
+        "BlockSpec(lines=(CuspidalLabel(line_id='r', dim=1, period=None, twist=0),), n=3)",
     ),
     (
         RING,
@@ -153,7 +152,7 @@ def test_constructor_keywords_and_defaults():
     assert Partition() == Partition(parts=[])
     assert InertialClass(Multisegment()).orbit_sizes == ()
     assert Verdict("verified") == Verdict(status="verified", reason="", witness_degree=None)
-    assert BlockSpec(lines=(R,), n=1).support_budget is None
+    assert BlockSpec(lines=(R,), n=1) == BlockSpec((R,), 1)
 
 
 # --------------------------------------------------------------------------
