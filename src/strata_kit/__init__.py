@@ -65,6 +65,7 @@ from .kgroup import (
 from .strata import (
     BlockSpec,
     InvariantRingPresentation,
+    Orbit,
     StratumReport,
     classification_partition,
     components,

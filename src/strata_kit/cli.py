@@ -302,8 +302,8 @@ def _cmd_poset(args) -> None:
 
 
 def _cmd_strata(args) -> None:
-    block = BlockSpec.from_json(_load_json(args.block))
-    lam = Partition.from_json(_load_json(args.lam))
+    block = BlockSpec.from_json(expect(_load_json(args.block), dict, "--block"))
+    lam = Partition.from_json(expect(_load_json(args.lam), list, "--lambda"))
     report = components(block, lam, bound=_budget(args, DEFAULT_COMPONENT_BOUND))
     _emit(args, _render(args, report.to_json()))
 

@@ -7,6 +7,7 @@ the Moeglin-Waldspurger involution, and inertial classes.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import Counter
 from itertools import groupby
@@ -271,12 +272,7 @@ class InertialClass(Value):
         return len(self.representative)
 
     def weyl_order(self) -> int:
-        import math
-
-        out = 1
-        for n in self.orbit_sizes:
-            out *= math.factorial(n)
-        return out
+        return math.prod(map(math.factorial, self.orbit_sizes))
 
     def distinct_segments(self) -> list[tuple[Segment, int]]:
         """Distinct inertial segments of the representative with multiplicities."""

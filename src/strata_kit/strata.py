@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional, Sequence, Union
+from collections.abc import Set
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, ShapeError, WeightMismatchError, WraparoundError, expect
 from .multisegments import InertialClass, Multisegment, inertial_class, lambda_of
@@ -163,6 +164,36 @@ def ring_presentation(cls: InertialClass) -> InvariantRingPresentation:
     )
 
 
+def _split_counts(count: int, dims: Sequence[int]) -> list[list[int]]:
+    """ways[i][j]: the number of ways to write j as sum dims[i:] . k over k >= 0,
+    for j <= count; the coin-change count, in O(count * len(dims))."""
+    ways = [[1] + [0] * count]
+    for d in reversed(dims):
+        below = ways[0]
+        row = below[:d]
+        for j in range(d, count + 1):
+            row.append(below[j] + row[j - d])
+        ways.insert(0, row)
+    return ways
+
+
+def _splits(count: int, dims: Sequence[int], ways: list[list[int]]) -> list[tuple[int, ...]]:
+    """Every k with sum dims . k == count, in lexicographic order, each built
+    once: a prefix is extended only where ``ways`` says its rest has a split."""
+    out = []
+
+    def extend(i: int, rest: int, prefix: tuple[int, ...]) -> None:
+        if i == len(dims):
+            out.append(prefix)
+            return
+        for k in range(rest // dims[i] + 1):
+            if ways[i + 1][rest - k * dims[i]]:
+                extend(i + 1, rest - k * dims[i], prefix + (k,))
+
+    extend(0, count, ())
+    return out
+
+
 def components(
     block: BlockSpec, lam: Partition, bound: int = DEFAULT_COMPONENT_BOUND
 ) -> StratumReport:
@@ -171,23 +202,23 @@ def components(
     The classes are generated from lam directly: lam_l - lam_(l+1) is the
     dim-weighted number of segments of length exactly l, and each way of
     splitting it across the block's lines fixes the length-l segments of a
-    class.  The bound caps the number of classes returned.
+    class.  The bound caps the number of classes, and it is checked against
+    their exact count before any class or split is built.
     """
     if lam.weight != block.n:
         raise WeightMismatchError("incomparable weights")
     if not block.infinite_period:
         raise WraparoundError("component enumeration undefined with wraparound")
     lines = sorted(block.lines, key=lambda l: (l.line_id, l.dim))
-    splits = []
-    for length in range(1, lam.length + 1):
-        count = lam.part(length) - lam.part(length + 1)
-        ranges = (range(count // line.dim + 1) for line in lines)
-        splits.append([
-            k for k in itertools.product(*ranges)
-            if sum(line.dim * copies for line, copies in zip(lines, k)) == count
-        ])
-    if math.prod(map(len, splits)) > bound:
-        raise BudgetExceededError(f"component enumeration bound {bound} exceeded")
+    dims = [line.dim for line in lines]
+    counts = [lam.part(length) - lam.part(length + 1) for length in range(1, lam.length + 1)]
+    tables = [_split_counts(count, dims) for count in counts]
+    total = math.prod(ways[0][count] for count, ways in zip(counts, tables))
+    if total > bound:
+        raise BudgetExceededError(
+            f"component enumeration bound {bound} exceeded: the stratum has {total} classes"
+        )
+    splits = [_splits(count, dims, ways) for count, ways in zip(counts, tables)]
     # str() omits the dim, so classes over lines of one name can print
     # alike; such ties keep the order of their segment counts, line by line.
     choices = sorted(itertools.product(*splits), key=lambda p: list(zip(*p)))
@@ -228,28 +259,97 @@ def point_to_multisegment(
     return Multisegment(tuple(shifted))
 
 
-def multisegment_to_orbit(
-    m: Multisegment,
-) -> tuple[InertialClass, frozenset[tuple[int, ...]]]:
-    """Recover the inertial class and the symmetric-group orbit of twist tokens."""
+def _spans(sizes: Iterable[int]) -> list[tuple[int, int]]:
+    """(start, stop) of each of the consecutive blocks with the given sizes."""
+    ends = list(itertools.accumulate(sizes))
+    return list(zip([0] + ends, ends))
+
+
+def _canonical(sizes: Iterable[int], tokens: Sequence[int]) -> tuple[int, ...]:
+    """The tokens sorted within each block."""
+    return tuple(itertools.chain.from_iterable(sorted(tokens[lo:hi]) for lo, hi in _spans(sizes)))
+
+
+def _next_permutation(tokens: list, lo: int, hi: int) -> bool:
+    """Step ``tokens[lo:hi]`` to its next permutation in lexicographic order.
+
+    False when it was the last one; it is then reset to the first (sorted).
+    """
+    i = hi - 2
+    while i >= lo and tokens[i] >= tokens[i + 1]:
+        i -= 1
+    if i >= lo:
+        j = hi - 1
+        while tokens[j] <= tokens[i]:
+            j -= 1
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    tokens[i + 1:hi] = tokens[i + 1:hi][::-1]
+    return i >= lo
+
+
+class Orbit(Value, Set):
+    """The twist tokens of one point of a stratum component.
+
+    It is the orbit of a token tuple under the product of symmetric groups
+    that permute each block of inertially equal segments, the variable
+    blocks of ring_presentation.  Only the class and the canonical tokens,
+    sorted within each block, are stored; members are computed on demand.
+    As a set of tuples it equals, and hashes as, the frozenset of its members.
+    """
+
+    __slots__ = ("cls", "canonical")
+
+    def __init__(self, cls: InertialClass, canonical: Sequence[int]) -> None:
+        """``canonical`` may be any member; it is stored sorted within each block."""
+        if len(canonical) != sum(cls.orbit_sizes):
+            raise ShapeError(f"expected {sum(cls.orbit_sizes)} tokens, got {len(canonical)}")
+        self._init(cls, _canonical(cls.orbit_sizes, canonical))
+
+    # Set's equality and frozenset-compatible hash, not Value's field-wise ones.
+    __eq__ = Set.__eq__
+    __hash__ = Set._hash
+    # Set operators (&, |, -, ^) build a frozenset; an Orbit needs its class.
+    _from_iterable = frozenset
+
+    def __contains__(self, tokens: object) -> bool:
+        if not isinstance(tokens, tuple) or len(tokens) != len(self.canonical):
+            return False
+        try:
+            return _canonical(self.cls.orbit_sizes, tokens) == self.canonical
+        except TypeError:  # tokens that do not sort, such as None beside an int
+            return False
+
+    def __len__(self) -> int:
+        """The product over blocks of the multinomial of each block's repeats."""
+        repeats = math.prod(
+            math.factorial(len(list(run)))
+            for lo, hi in _spans(self.cls.orbit_sizes)
+            for _, run in itertools.groupby(self.canonical[lo:hi])
+        )
+        return self.cls.weyl_order() // repeats
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        """Each member once, in lexicographic order: next-permutation steps
+        within each block, the first block outermost."""
+        tokens = list(self.canonical)
+        last_first = _spans(self.cls.orbit_sizes)[::-1]
+        while True:
+            yield tuple(tokens)
+            if not any(_next_permutation(tokens, lo, hi) for lo, hi in last_first):
+                return
+
+
+def multisegment_to_orbit(m: Multisegment) -> tuple[InertialClass, Orbit]:
+    """Recover the inertial class and the orbit of twist tokens of m.
+
+    ``point_to_multisegment(cls, orbit.canonical)`` is the inverse.
+    """
     if not m.infinite_period:
         raise WraparoundError("bijection undefined with wraparound")
     cls = inertial_class(m)
-    per_orbit_shifts: list[list[int]] = []
-    for rep, _ in cls.distinct_segments():
-        shifts = sorted(
-            s.a - rep.a
-            for s in m.segments
-            if s.cuspidal == rep.cuspidal and s.length == rep.length
-        )
-        per_orbit_shifts.append(shifts)
-    orbit: set[tuple[int, ...]] = set()
-    perms_per_orbit = [
-        sorted(set(itertools.permutations(shifts))) for shifts in per_orbit_shifts
-    ]
-    for combo in itertools.product(*perms_per_orbit):
-        orbit.add(tuple(itertools.chain.from_iterable(combo)))
-    return cls, frozenset(orbit)
+    # The representative's order: by line, then longest first.
+    by_block = sorted(m.segments, key=lambda s: (s.sort_key()[:4], s.a - s.b))
+    return cls, Orbit(cls, [s.a for s in by_block])
 
 
 def tangent_dim(m: Multisegment) -> int:

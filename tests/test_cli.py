@@ -274,6 +274,20 @@ class TestExitCodes:
         assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["strata", "--block", "[]", "--lambda", "[2]"], "--block: expected an object"),
+            (
+                ["strata", "--block", '{"lines":[{"line":"r"}],"n":2}', "--lambda", "7"],
+                "--lambda: expected a list",
+            ),
+        ],
+        ids=["block-not-object", "lambda-not-list"],
+    )
+    def test_malformed_root_names_its_flag(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["lambda", MSEG_01, "--budget", "3"],

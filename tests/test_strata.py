@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +9,7 @@ from strata_kit import (
     BudgetExceededError,
     CuspidalLabel,
     Multisegment,
+    Orbit,
     Partition,
     Segment,
     ShapeError,
@@ -57,6 +59,45 @@ def brute_force_components(block):
 
     rec(0, block.n, [])
     return sorted(out, key=lambda c: str(c.representative))
+
+
+def brute_force_orbit(m):
+    """Oracle: the inertial class of m and the set of its token tuples,
+    built from every permutation of each block's twists."""
+    cls = inertial_class(m)
+    per_orbit_shifts = [
+        sorted(
+            s.a - rep.a
+            for s in m.segments
+            if s.cuspidal == rep.cuspidal and s.length == rep.length
+        )
+        for rep, _ in cls.distinct_segments()
+    ]
+    perms_per_orbit = [
+        sorted(set(itertools.permutations(shifts))) for shifts in per_orbit_shifts
+    ]
+    return cls, frozenset(
+        tuple(itertools.chain.from_iterable(combo))
+        for combo in itertools.product(*perms_per_orbit)
+    )
+
+
+@st.composite
+def orbit_points(draw):
+    """A multisegment of up to 10 segments on 1-3 blocks of inertially equal
+    segments, with repeated twists."""
+    blocks = draw(st.lists(
+        st.tuples(st.sampled_from("rs"), st.integers(1, 3)), min_size=1, max_size=3, unique=True,
+    ))
+    spare = 10 - len(blocks)
+    segments = []
+    for line_id, length in blocks:
+        size = 1 + draw(st.integers(0, spare))
+        spare -= size - 1
+        twists = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        dim = 1 if line_id == "r" else 2
+        segments += [seg(t, t + length - 1, line_id, dim) for t in twists]
+    return Multisegment(tuple(segments))
 
 
 class TestInStratum:
@@ -183,9 +224,26 @@ class TestComponents:
     def test_budget_counts_classes_returned(self):
         block = BlockSpec((CuspidalLabel("r"), CuspidalLabel("s", 2)), 28)
         lam = Partition.of(7, 7, 7, 7)
-        assert len(components(block, lam).components) == 4
-        with pytest.raises(BudgetExceededError):
+        assert len(components(block, lam, bound=4).components) == 4
+        with pytest.raises(BudgetExceededError, match="bound 3 exceeded: the stratum has 4 "):
             components(block, lam, bound=3)
+
+    @pytest.mark.parametrize("line_ids,classes", [("rs", 2001), ("rst", 2003001)])
+    def test_bound_is_checked_before_any_split_is_built(self, line_ids, classes):
+        block = BlockSpec(tuple(CuspidalLabel(i) for i in line_ids), 2000)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            components(block, Partition.of(2000), bound=1)
+        assert time.perf_counter() - start < 0.25
+        assert str(info.value) == (
+            f"component enumeration bound 1 exceeded: the stratum has {classes} classes"
+        )
+
+    def test_length_without_a_split_empties_the_stratum(self):
+        # lam_1 - lam_2 = 1 has no split over dims 2 and 3, so the stratum has
+        # no class and no bound is exceeded, however many splits lam_2 has.
+        block = BlockSpec((CuspidalLabel("r", 2), CuspidalLabel("s", 3)), 4001)
+        assert components(block, Partition.of(2001, 2000), bound=0).components == ()
 
     def test_report_json_shape(self):
         rep = components(self.block(2), Partition.of(2))
@@ -247,6 +305,73 @@ class TestBijection:
             point_to_multisegment(cls, (0,))
         with pytest.raises(ShapeError):
             point_to_multisegment(cls, (0, None))
+        with pytest.raises(ShapeError, match="expected 2 tokens, got 3"):
+            Orbit(cls, (0, 1, 2))
+
+    def test_finite_period_rejected(self):
+        with pytest.raises(WraparoundError):
+            multisegment_to_orbit(mseg((0, 0), (1, 1), period=3))
+
+    def test_orbit_value(self):
+        cls, orbit = multisegment_to_orbit(mseg((0, 1), (3, 4), (2, 2)))
+        assert orbit.canonical == (0, 3, 2) and orbit.cls == cls
+        assert orbit == Orbit(cls, (3, 0, 2)) == frozenset({(0, 3, 2), (3, 0, 2)})
+        assert hash(orbit) == hash(frozenset(orbit)) == hash(Orbit(cls, (3, 0, 2)))
+        assert orbit != Orbit(cls, (0, 3, 1)) and orbit != {(0, 3, 2)}
+        assert [0, 3, 2] not in orbit and (0, 3) not in orbit and (0, 3, 2, 2) not in orbit
+        assert (None, 3, 2) not in orbit and ("a", 3, 2) not in orbit
+        assert orbit & {(3, 0, 2), (1, 1, 1)} == frozenset({(3, 0, 2)})
+        assert isinstance(orbit | set(), frozenset)
+        empty = multisegment_to_orbit(Multisegment())[1]
+        assert list(empty) == [()] and len(empty) == 1 and () in empty
+
+    def test_ten_distinct_twists_in_under_a_millisecond(self):
+        m = mseg(*((t, t) for t in range(10)))
+
+        def timed():
+            start = time.perf_counter()
+            size = len(multisegment_to_orbit(m)[1])
+            return time.perf_counter() - start, size
+
+        best, size = min(timed() for _ in range(5))
+        assert size == 3628800
+        assert best < 1e-3
+
+    @settings(deadline=None)
+    @given(orbit_points(), st.data())
+    def test_orbit_matches_brute_force(self, m, data):
+        cls, orbit = multisegment_to_orbit(m)
+        assert point_to_multisegment(cls, orbit.canonical) == m
+        # Any within-block permutation of the tokens is a member, and a tuple
+        # is a member exactly when it maps back to m.
+        blocks = iter(orbit.canonical)
+        permuted = tuple(itertools.chain.from_iterable(
+            data.draw(st.permutations([next(blocks) for _ in range(size)]))
+            for size in cls.orbit_sizes
+        ))
+        candidates = [permuted] + data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=len(m) - 1, max_size=len(m) + 1).map(tuple),
+            max_size=5,
+        ))
+        for tokens in candidates:
+            maps_back = len(tokens) == len(m) and point_to_multisegment(cls, tokens) == m
+            assert (tokens in orbit) == maps_back
+        assert permuted in orbit
+        # The oracle lists every permutation of each block, so it is built
+        # only when there are few of them.
+        if cls.weyl_order() > 5040:
+            head = list(itertools.islice(orbit, 2000))
+            assert all(x < y for x, y in zip(head, head[1:]))
+            return
+        cls2, expected = brute_force_orbit(m)
+        assert cls2 == cls
+        members = list(orbit)
+        assert all(x < y for x, y in zip(members, members[1:]))
+        assert len(orbit) == len(members) == len(expected)
+        assert set(orbit) == expected and orbit == expected and expected == orbit
+        assert hash(orbit) == hash(expected)
+        for tokens in candidates:
+            assert (tokens in orbit) == (tokens in expected)
 
 
 class TestTangentAndExt:

@@ -22,6 +22,7 @@ from strata_kit import (
     InertialClass,
     InvariantRingPresentation,
     Multisegment,
+    Orbit,
     Partition,
     Segment,
     StratumReport,
@@ -69,6 +70,13 @@ VALUES = [
         "InertialClass(representative=Multisegment(segments=(Segment(cuspidal="
         "CuspidalLabel(line_id='r', dim=1, period=None, twist=0), a=0, b=1),)), "
         "orbit_sizes=(1,))",
+    ),
+    (
+        Orbit(CLASS, [3]),
+        "canonical",
+        "Orbit(cls=InertialClass(representative=Multisegment(segments=(Segment(cuspidal="
+        "CuspidalLabel(line_id='r', dim=1, period=None, twist=0), a=0, b=1),)), "
+        "orbit_sizes=(1,)), canonical=(3,))",
     ),
     (Partition.of(2, 1), "parts", "Partition(parts=(2, 1))"),
     (
@@ -153,6 +161,7 @@ def test_constructor_keywords_and_defaults():
     assert InertialClass(Multisegment()).orbit_sizes == ()
     assert Verdict("verified") == Verdict(status="verified", reason="", witness_degree=None)
     assert BlockSpec(lines=(R,), n=1) == BlockSpec((R,), 1)
+    assert Orbit(cls=CLASS, canonical=(3,)) == Orbit(CLASS, [3])
 
 
 # --------------------------------------------------------------------------
