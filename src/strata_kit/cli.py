@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import InputError, StrataKitError, expect
@@ -45,6 +46,14 @@ from .strata import (
 
 DEFAULT_LINE_ID = "r"
 BUDGET_ENV_VAR = "STRATAKIT_BUDGET"
+
+# A well-formed segment '[a,b]' or '[a,b;line]', with the whitespace, digits
+# and identifier characters that the parser's character-level reading accepts.
+_SEGMENT = re.compile(r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*(?:;\s*(\w+)\s*)?\]")
+
+
+def _too_long() -> str:
+    return f"integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 class ExpressionSyntaxError(InputError):
@@ -98,12 +107,17 @@ class _Parser:
         start = self.pos
         if self._peek() == "-":
             self.pos += 1
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start or self.src[start:self.pos] == "-":
             self.pos = start
             self._fail("expected an integer")
-        return int(self.src[start : self.pos])
+        try:
+            return int(self.src[start : self.pos])
+        except ValueError:
+            self.pos = start
+            self._fail(_too_long())
+            raise  # unreachable
 
     def _ident(self) -> str:
         self._skip_ws()
@@ -117,6 +131,19 @@ class _Parser:
         return self.src[start : self.pos]
 
     def _segment(self) -> Segment:
+        """Read a segment in one match; read any other text again by
+        characters, which names the fault."""
+        match = _SEGMENT.match(self.src, self.pos)
+        if match is None:
+            return self._segment_chars()
+        try:
+            a, b = int(match[1]), int(match[2])
+        except ValueError:  # an integer too long
+            return self._segment_chars()
+        self.pos = match.end()
+        return self._make_segment(match[3] or DEFAULT_LINE_ID, a, b)
+
+    def _segment_chars(self) -> Segment:
         self._expect("[")
         a = self._int()
         self._expect(",")
@@ -126,6 +153,9 @@ class _Parser:
             self._expect(";")
             line_id = self._ident()
         self._expect("]")
+        return self._make_segment(line_id, a, b)
+
+    def _make_segment(self, line_id: str, a: int, b: int) -> Segment:
         try:
             return Segment(CuspidalLabel(line_id), a, b)
         except StrataKitError as exc:
@@ -227,6 +257,8 @@ def _load_json(arg: str):
         raise InputError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # the only other fault: an integer too long
+        raise InputError(f"invalid JSON: {_too_long()}") from exc
 
 
 def _load_multisegment(arg: str) -> Multisegment:

@@ -15,6 +15,7 @@ pairwise-unlinked multisegment is the product of its segments' classes.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Optional
 
 from .errors import ShapeError, WraparoundError
@@ -43,9 +44,9 @@ class OpaqueDerivative(Keyed):
         return f"?D^{self.degree}({self.source})"
 
 
-def _atom_key(atom) -> tuple:
-    """Structural order of atoms: classes by their keys, then placeholders."""
-    return (atom.__class__ is OpaqueDerivative, atom._key)
+# Structural order of atoms.  A placeholder's key has 2 entries and a class
+# key 6 per segment, so a placeholder never ties with a class.
+_atom_key = attrgetter("_key")
 
 
 def _sorted_term(atoms) -> Term:
@@ -110,7 +111,7 @@ class GradedVirtual:
 
 def _wrap(layers: dict[int, dict[Term, int]]) -> GradedVirtual:
     """Wrap layers whose terms are already merged, dropping empty layers."""
-    out = GradedVirtual()
+    out = GradedVirtual.__new__(GradedVirtual)
     out.layers = {g: combo for g, combo in layers.items() if combo}
     return out
 
@@ -132,21 +133,35 @@ def _degree_zero(x: GradedVirtual) -> dict[Term, int]:
 
 
 def _mul(acc: dict[Term, int], x: dict[Term, int], y: dict[Term, int]) -> dict[Term, int]:
-    """Add the product of two term combinations into acc and return acc."""
+    """Add the product of two term combinations into acc and return acc.
+
+    Both sides hold canonical terms with nonzero coefficients, so a product
+    with the trivial term () is the other term itself.
+    """
     for t1, c1 in x.items():
         for t2, c2 in y.items():
-            _add_term(acc, _sorted_term(t1 + t2), c1 * c2)
+            term = tuple(sorted(t1 + t2, key=_atom_key)) if t1 and t2 else t1 or t2
+            new = acc.get(term, 0) + c1 * c2
+            if new:
+                acc[term] = new
+            else:
+                del acc[term]
     return acc
 
 
-def _leibniz(tables) -> dict[int, dict[Term, int]]:
-    """Graded product of graded derivative tables (the Leibniz rule)."""
+def _leibniz(tables, top: Optional[int] = None) -> dict[int, dict[Term, int]]:
+    """Graded product of graded derivative tables (the Leibniz rule).
+
+    Degrees only add up, so with ``top`` given no partial product above it
+    is formed, and the layers above ``top`` are left out.
+    """
     result: dict[int, dict[Term, int]] = {0: {(): 1}}
     for table in tables:
         nxt: dict[int, dict[Term, int]] = {}
         for g1, x in result.items():
             for g2, y in table.items():
-                _mul(nxt.setdefault(g1 + g2, {}), x, y)
+                if top is None or g1 + g2 <= top:
+                    _mul(nxt.setdefault(g1 + g2, {}), x, y)
         result = nxt
     return result
 
@@ -197,15 +212,18 @@ def atom_derivative(atom: Multisegment) -> Optional[dict[int, dict[Term, int]]]:
     return None
 
 
-def term_derivative(term: Term) -> Optional[GradedVirtual]:
-    """Leibniz expansion of a product of atoms; None if any factor is unknown."""
+def term_derivative(term: Term, top: Optional[int] = None) -> Optional[GradedVirtual]:
+    """Leibniz expansion of a product of atoms; None if any factor is unknown.
+
+    With ``top`` given, only the layers of degree at most ``top`` are built.
+    """
     tables = []
     for atom in term:
         table = None if isinstance(atom, OpaqueDerivative) else atom_derivative(atom)
         if table is None:
             return None
         tables.append(table)
-    return _wrap(_leibniz(tables))
+    return _wrap(_leibniz(tables, top))
 
 
 def total_derivative(x: GradedVirtual) -> GradedVirtual:
@@ -302,7 +320,7 @@ def DerivativeExpr(degree: int, inner: GradedVirtual) -> GradedVirtual:
         return _wrap({0: dict(terms)})
     acc: dict[Term, int] = {}
     for term, coeff in terms.items():
-        graded = term_derivative(term)
+        graded = term_derivative(term, degree)
         if graded is None:
             marker = OpaqueDerivative(_term_str(term), degree)
             _add_term(acc, (marker,), coeff)

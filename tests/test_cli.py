@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strata_kit
 
-from strata_kit.cli import ExpressionSyntaxError, parse_expression, run
+from strata_kit.cli import _SEGMENT, ExpressionSyntaxError, _Parser, parse_expression, run
 from strata_kit.kgroup import DerivativeExpr, ProductExpr, SumExpr, ZClass
 
 from conftest import mseg
@@ -162,6 +162,50 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "kgroup-check", "Z[0,1] = Z[0,1] = Z[0,1]")
         assert code == 2
         assert "column 17: unexpected trailing input" in err
+
+    @pytest.mark.parametrize(
+        "identity,column",
+        [("Z[²,3] = Z[0,0]", 3), ("D^²(Z[0,3]) = Z[0,0]", 3), ("Z[0,0] = Z[0,-²]", 14)],
+        ids=["segment", "order", "signed"],
+    )
+    def test_non_decimal_digit(self, capsys, identity, column):
+        """A digit that is not decimal, such as a superscript, is no integer."""
+        code, out, err = invoke(capsys, "kgroup-check", identity)
+        assert (code, out) == (2, "")
+        assert err == f"error: syntax error at line 1, column {column}: expected an integer\n"
+
+    def test_decimal_digits_of_any_script(self, capsys):
+        assert invoke(capsys, "kgroup-check", "Z[٣,٤] = Z[3,4;r]") == (0, "verified\n", "")
+
+    @pytest.mark.parametrize(
+        "identity,column",
+        [("Z[0,0] = Z[{},9]", 12), ("D^{}(Z[0,0]) = Z[0,0]", 3), ("Z[0,0] =\n Z[0, -{}]", 7)],
+        ids=["segment", "order", "second-line"],
+    )
+    def test_integer_too_long(self, capsys, identity, column):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "kgroup-check", identity.format("1" * (limit + 1)))
+        assert (code, out) == (2, "")
+        line = identity.count("\n") + 1
+        assert err == (
+            f"error: syntax error at line {line}, column {column}: "
+            f"integer has more than {limit} digits\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda", '{"segments":[{"line":"r","a":0,"b":%s}]}'],
+            ["enumerate", "--support", '[["r",%s]]'],
+            ["strata", "--block", '{"lines":[{"line":"r"}],"n":2}', "--lambda", "[%s]"],
+        ],
+        ids=["lambda", "enumerate", "strata"],
+    )
+    def test_json_integer_too_long(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        argv = [a.replace("%s", "1" * (limit + 1)) for a in argv]
+        message = f"error: invalid JSON: integer has more than {limit} digits\n"
+        assert invoke(capsys, *argv) == (2, "", message)
 
     def test_negative_derivative_order(self, capsys):
         code, out, err = invoke(capsys, "kgroup-check", "D^-1(Z[0,0]) = D^-1(Z[1,1])")
@@ -402,5 +446,103 @@ input_argv_st = st.one_of(
 def test_block_lambda_and_support_json_fuzz_never_raises(capsys, argv):
     """Blocks, partitions and support points end in a documented exit code too."""
     code, _, err = invoke(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# Segment text: well formed, with whitespace of several kinds, signs, digits
+# of another script (U+0663) and identifiers with digits and underscores;
+# then, in three of four examples, one cut, insertion or overwrite that may
+# bring in a digit that is not decimal (U+00B2) or an integer too long.
+_space_st = st.text(" \t\n\u00a0\u2003", max_size=2)
+_int_text_st = st.from_regex(r"-?[0-9\u0663]{1,3}", fullmatch=True)
+_well_formed_segment_st = st.tuples(
+    _space_st, st.just("["), _space_st, _int_text_st, _space_st, st.just(","), _space_st,
+    _int_text_st, _space_st,
+    st.one_of(
+        st.just(""),
+        st.tuples(st.just(";"), _space_st, st.text("rs_1\u0663\u00b2", min_size=1, max_size=4), _space_st)
+        .map("".join),
+    ),
+    st.just("]"),
+).map("".join)
+_segment_text_st = _well_formed_segment_st.flatmap(
+    lambda text: st.one_of(
+        st.just(text),
+        st.integers(0, len(text)).map(lambda cut: text[:cut]),
+        st.builds(
+            lambda i, k, piece: text[:i] + piece + text[i + k :],
+            st.integers(0, len(text)),
+            st.integers(0, 1),
+            st.sampled_from(["", "-", "+", "\u00b2", "_", ",", ";", "]", "[", " ", "1" * 4301]),
+        ),
+        st.just(text + " ]*Z[0,0]"),
+    )
+)
+
+
+def _read_segment(read, text):
+    """(segment, end position) or (message, line, column) of one way to read."""
+    parser = _Parser(text)
+    try:
+        return read(parser), parser.pos
+    except ExpressionSyntaxError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(deadline=None)
+@given(_segment_text_st)
+def test_segment_pattern_agrees_with_characters(text):
+    """One match and the character-level reading give the same segment and
+    end, or fail with the same message at the same line and column; and
+    every segment the characters read is one match."""
+    chars = _read_segment(_Parser._segment_chars, text)
+    assert _read_segment(_Parser._segment, text) == chars
+    if len(chars) == 2:
+        assert _SEGMENT.match(text) is not None
+
+
+# Identities from the grammar, with integers that may be empty, signs
+# alone, non-decimal or too long, and then one cut, insertion or overwrite.
+_int_token_st = st.sampled_from(["0", "1", "-2", "3", "\u00b2", "\u0663", "-", "", "1" * 4301])
+_segment_token_st = st.one_of(
+    st.builds("[{},{}]".format, _int_token_st, _int_token_st),
+    st.builds("[{},{};{}]".format, _int_token_st, _int_token_st, st.sampled_from(["s", "s_1", ""])),
+)
+
+
+def _atoms(expr):
+    return st.one_of(
+        _segment_token_st.map("Z{}".format),
+        st.lists(_segment_token_st, max_size=2).map(lambda segs: "Z{%s}" % ",".join(segs)),
+        st.builds("D^{}({})".format, _int_token_st, expr),
+        expr.map("({})".format),
+    )
+
+
+_expression_st = st.recursive(
+    _segment_token_st.map("Z{}".format),
+    lambda expr: st.one_of(
+        _atoms(expr),
+        st.lists(_atoms(expr), min_size=2, max_size=3).map("*".join),
+        st.lists(_atoms(expr), min_size=2, max_size=3).map(" + ".join),
+    ),
+    max_leaves=5,
+)
+_identity_text_st = st.builds("{} = {}".format, _expression_st, _expression_st).flatmap(
+    lambda text: st.builds(
+        lambda i, k, piece: text[:i] + piece + text[i + k :],
+        st.integers(0, len(text)),
+        st.integers(0, 2),
+        st.sampled_from(["", "\n", "Z[", "D^", "(", ")", "]", "}", ",", ";", "=", "*", "-", "\u00b2"]),
+    )
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_identity_text_st)
+def test_kgroup_check_fuzz_never_raises(capsys, identity):
+    """Any identity text ends in a documented exit code, never an exception."""
+    code, _, err = invoke(capsys, "kgroup-check", identity)
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -329,15 +329,44 @@ product_st = st.lists(
 )
 
 
+# Two-segment atoms whose tables have more than two layers: the
+# composition-lemma shape {[c,c],[a,c-1]}, with layers 0, 1 and 2, and an
+# unlinked pair (nested, or apart with a gap), with layers 0, 1 and 2 too.
+pair_atom_st = st.one_of(
+    st.tuples(st.sampled_from("rs"), st.integers(0, 3), st.integers(1, 3)).map(
+        lambda t: ((t[0], t[1] + t[2], t[1] + t[2]), (t[0], t[1], t[1] + t[2] - 1))
+    ),
+    st.tuples(st.sampled_from("rs"), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)).map(
+        lambda t: ((t[0], t[1], t[1] + t[2] + t[3] + 1), (t[0], t[1] + 1, t[1] + t[2] + 1))
+    ),
+    st.tuples(st.sampled_from("rs"), st.integers(0, 3), st.integers(0, 2), st.integers(2, 3)).map(
+        lambda t: ((t[0], t[1], t[1] + t[2]), (t[0], t[1] + t[2] + t[3], t[1] + t[2] + t[3]))
+    ),
+)
+
+
 @settings(deadline=None)
-@given(product_st)
-def test_derivative_entry_points_agree(segs):
-    """D^g(x) is layer g of total_derivative(x), and the parser builds x itself."""
-    x = product(*(seg(a, b, line_id=line) for line, a, b in segs))
-    assert parse_expression("*".join("Z" + _seg_text(*t) for t in segs)) == x
+@given(product_st, st.lists(pair_atom_st, max_size=2))
+def test_derivative_entry_points_agree(segs, pairs):
+    """D^g(x) is layer g > 0 of total_derivative(x), the zero element above
+    its top degree, and the parser builds x itself.
+
+    Layer 0 of total_derivative writes an unlinked atom as the product of its
+    segments, so there D^0(x) is compared with x.
+    """
+    atoms = [Multisegment.of(seg(a, b, line_id=line)) for line, a, b in segs]
+    atoms += [Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in p)) for p in pairs]
+    x = ProductExpr(ZClass(m) for m in atoms)
+    texts = ["Z" + _seg_text(*t) for t in segs]
+    texts += ["Z{%s}" % ",".join(_seg_text(*t) for t in p) for p in pairs]
+    assert parse_expression("*".join(texts)) == x
     total = total_derivative(x)
-    for g in range(total.top_degree() + 1):
+    top = total.top_degree()
+    assert top == len(segs) + 2 * len(pairs)
+    assert DerivativeExpr(0, x) == x
+    for g in range(1, top + 3):
         assert DerivativeExpr(g, x) == GradedVirtual({0: total.layer(g)})
+    assert str(DerivativeExpr(top + 1, x)) == "0"
 
 
 def test_lines_of_one_name_and_two_dims_give_one_term():
