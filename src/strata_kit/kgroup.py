@@ -77,11 +77,17 @@ def _term_str(term: Term) -> str:
 class GradedVirtual:
     """A graded Grothendieck-group element: derivative order -> combination of terms.
 
-    Elements are values; no method changes one after construction.
+    Elements are values; no method changes one after construction.  The
+    constructor makes each term canonical: trivial atoms dropped, the rest
+    sorted.
     """
 
     def __init__(self, layers: Optional[dict] = None) -> None:
-        merged = _add_layers({}, layers or {})
+        merged: dict[int, dict[Term, int]] = {}
+        for g, combo in (layers or {}).items():
+            layer = merged.setdefault(g, {})
+            for term, c in combo.items():
+                _add_term(layer, _sorted_term(term), c)
         self.layers: dict[int, dict[Term, int]] = {g: c for g, c in merged.items() if c}
 
     def degrees(self) -> list[int]:
@@ -141,11 +147,7 @@ def _mul(acc: dict[Term, int], x: dict[Term, int], y: dict[Term, int]) -> dict[T
     for t1, c1 in x.items():
         for t2, c2 in y.items():
             term = tuple(sorted(t1 + t2, key=_atom_key)) if t1 and t2 else t1 or t2
-            new = acc.get(term, 0) + c1 * c2
-            if new:
-                acc[term] = new
-            else:
-                del acc[term]
+            _add_term(acc, term, c1 * c2)
     return acc
 
 

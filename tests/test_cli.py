@@ -139,6 +139,14 @@ class TestVerbs:
         assert "dimension: 2" in out
 
 
+def _int_digit_limit() -> int:
+    """Python's limit on the digits int() converts; skip where there is none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    return limit
+
+
 class TestExitCodes:
     def test_usage_error_bad_json(self, capsys):
         code, _, err = invoke(capsys, "lambda", "{not json")
@@ -183,7 +191,7 @@ class TestExitCodes:
         ids=["segment", "order", "second-line"],
     )
     def test_integer_too_long(self, capsys, identity, column):
-        limit = sys.get_int_max_str_digits()
+        limit = _int_digit_limit()
         code, out, err = invoke(capsys, "kgroup-check", identity.format("1" * (limit + 1)))
         assert (code, out) == (2, "")
         line = identity.count("\n") + 1
@@ -202,7 +210,7 @@ class TestExitCodes:
         ids=["lambda", "enumerate", "strata"],
     )
     def test_json_integer_too_long(self, capsys, argv):
-        limit = sys.get_int_max_str_digits()
+        limit = _int_digit_limit()
         argv = [a.replace("%s", "1" * (limit + 1)) for a in argv]
         message = f"error: invalid JSON: integer has more than {limit} digits\n"
         assert invoke(capsys, *argv) == (2, "", message)

@@ -332,15 +332,16 @@ product_st = st.lists(
 # Two-segment atoms whose tables have more than two layers: the
 # composition-lemma shape {[c,c],[a,c-1]}, with layers 0, 1 and 2, and an
 # unlinked pair (nested, or apart with a gap), with layers 0, 1 and 2 too.
+# Each is drawn with whether it is unlinked.
 pair_atom_st = st.one_of(
     st.tuples(st.sampled_from("rs"), st.integers(0, 3), st.integers(1, 3)).map(
-        lambda t: ((t[0], t[1] + t[2], t[1] + t[2]), (t[0], t[1], t[1] + t[2] - 1))
+        lambda t: (False, ((t[0], t[1] + t[2], t[1] + t[2]), (t[0], t[1], t[1] + t[2] - 1)))
     ),
     st.tuples(st.sampled_from("rs"), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)).map(
-        lambda t: ((t[0], t[1], t[1] + t[2] + t[3] + 1), (t[0], t[1] + 1, t[1] + t[2] + 1))
+        lambda t: (True, ((t[0], t[1], t[1] + t[2] + t[3] + 1), (t[0], t[1] + 1, t[1] + t[2] + 1)))
     ),
     st.tuples(st.sampled_from("rs"), st.integers(0, 3), st.integers(0, 2), st.integers(2, 3)).map(
-        lambda t: ((t[0], t[1], t[1] + t[2]), (t[0], t[1] + t[2] + t[3], t[1] + t[2] + t[3]))
+        lambda t: (True, ((t[0], t[1], t[1] + t[2]), (t[0], t[1] + t[2] + t[3], t[1] + t[2] + t[3])))
     ),
 )
 
@@ -348,22 +349,29 @@ pair_atom_st = st.one_of(
 @settings(deadline=None)
 @given(product_st, st.lists(pair_atom_st, max_size=2))
 def test_derivative_entry_points_agree(segs, pairs):
-    """D^g(x) is layer g > 0 of total_derivative(x), the zero element above
-    its top degree, and the parser builds x itself.
+    """D^g(x) is layer g of total_derivative(x), the zero element above its
+    top degree, and the parser builds x itself.
 
-    Layer 0 of total_derivative writes an unlinked atom as the product of its
-    segments, so there D^0(x) is compared with x.
+    Layer 0 of total_derivative writes an unlinked atom as the product of
+    its segments, so layer 0 is compared with x written that way.
     """
-    atoms = [Multisegment.of(seg(a, b, line_id=line)) for line, a, b in segs]
-    atoms += [Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in p)) for p in pairs]
-    x = ProductExpr(ZClass(m) for m in atoms)
+    def atom(p):
+        return ZClass(Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in p)))
+
+    x = ProductExpr([atom([t]) for t in segs] + [atom(p) for _, p in pairs])
+    split = ProductExpr(
+        [atom([t]) for t in segs]
+        + [atom([q]) for unlinked, p in pairs if unlinked for q in p]
+        + [atom(p) for unlinked, p in pairs if not unlinked]
+    )
     texts = ["Z" + _seg_text(*t) for t in segs]
-    texts += ["Z{%s}" % ",".join(_seg_text(*t) for t in p) for p in pairs]
+    texts += ["Z{%s}" % ",".join(_seg_text(*t) for t in p) for _, p in pairs]
     assert parse_expression("*".join(texts)) == x
     total = total_derivative(x)
     top = total.top_degree()
     assert top == len(segs) + 2 * len(pairs)
     assert DerivativeExpr(0, x) == x
+    assert GradedVirtual({0: total.layer(0)}) == split
     for g in range(1, top + 3):
         assert DerivativeExpr(g, x) == GradedVirtual({0: total.layer(g)})
     assert str(DerivativeExpr(top + 1, x)) == "0"
@@ -401,3 +409,16 @@ def test_sorted_term_ignores_atom_order(atoms, data):
     assert _sorted_term(atoms[::-1]) == term
     assert _sorted_term(data.draw(st.permutations(atoms))) == term
     assert sorted(map(repr, term)) == sorted(repr(a) for a in atoms if a != Multisegment())
+
+
+@given(atoms_st, st.data())
+def test_constructor_makes_terms_canonical(atoms, data):
+    """A term given in any order, or with trivial atoms, is stored canonically,
+    so products with it equal those of the canonical term."""
+    given_term = tuple(data.draw(st.permutations(atoms))) + (Multisegment(),)
+    x = GradedVirtual({0: {given_term: 1}})
+    assert x.layers == {0: {_sorted_term(atoms): 1}}
+    one = GradedVirtual({0: {(Multisegment(),): 1}})
+    assert one == GradedVirtual({0: {(): 1}})
+    assert ProductExpr([one, x]) == ProductExpr([x, one]) == x
+    assert SumExpr([x, GradedVirtual({0: {tuple(atoms): -1}})]) == GradedVirtual()
