@@ -50,6 +50,11 @@ BUDGET_ENV_VAR = "STRATAKIT_BUDGET"
 # A well-formed segment '[a,b]' or '[a,b;line]', with the whitespace, digits
 # and identifier characters that the parser's character-level reading accepts.
 _SEGMENT = re.compile(r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*(?:;\s*(\w+)\s*)?\]")
+# Brackets may nest this deep in an expression; a JSON input that nests too
+# deep for the decoder is reported at its first bracket past this depth.
+MAX_NESTING = 100
+# A JSON string, or a bracket outside strings.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
 def _too_long() -> str:
@@ -78,15 +83,10 @@ class _Parser:
     def __init__(self, src: str) -> None:
         self.src = src
         self.pos = 0
-
-    def _position(self, pos: int) -> tuple[int, int]:
-        line = self.src.count("\n", 0, pos) + 1
-        last_nl = self.src.rfind("\n", 0, pos)
-        return line, pos - last_nl
+        self.depth = 0
 
     def _fail(self, message: str) -> None:
-        line, col = self._position(self.pos)
-        raise ExpressionSyntaxError(message, line, col)
+        raise ExpressionSyntaxError(message, *_position(self.src, self.pos))
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -162,13 +162,22 @@ class _Parser:
             self._fail(str(exc))
             raise  # unreachable
 
+    def _enclosed(self) -> GradedVirtual:
+        """'(' expr ')', at most MAX_NESTING deep."""
+        self._skip_ws()
+        if self.depth == MAX_NESTING:
+            self._fail(f"nesting deeper than {MAX_NESTING}")
+        self._expect("(")
+        self.depth += 1
+        inner = self.expression()
+        self._expect(")")
+        self.depth -= 1
+        return inner
+
     def _atom(self) -> GradedVirtual:
         ch = self._peek()
         if ch == "(":
-            self._expect("(")
-            inner = self.expression()
-            self._expect(")")
-            return inner
+            return self._enclosed()
         if ch == "D":
             self._expect("D")
             self._expect("^")
@@ -178,10 +187,7 @@ class _Parser:
             if degree < 0:
                 self.pos = start
                 self._fail("derivative order must be >= 0")
-            self._expect("(")
-            inner = self.expression()
-            self._expect(")")
-            return DerivativeExpr(degree, inner)
+            return DerivativeExpr(degree, self._enclosed())
         if ch == "Z":
             self._expect("Z")
             ch = self._peek()
@@ -237,6 +243,11 @@ def parse_expression(src: str) -> GradedVirtual:
     return _Parser(src).parse()
 
 
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of ``text[pos]``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 def _dumps(value) -> str:
     return json.dumps(value, separators=(",", ":"), sort_keys=False)
 
@@ -244,9 +255,28 @@ def _dumps(value) -> str:
 def _read_input(arg: str) -> str:
     """Treat the argument as a file path when one exists, else as inline text."""
     if os.path.isfile(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {arg}: not UTF-8 text") from exc
     return arg
+
+
+def _too_deep(text: str) -> InputError:
+    """The JSON error for the first bracket of ``text`` nested past MAX_NESTING."""
+    depth = 0
+    for token in _JSON_TOKEN.finditer(text):
+        if token[0] in "[{":
+            depth += 1
+            if depth > MAX_NESTING:
+                break
+        elif token[0] in "]}":
+            depth -= 1
+    line, column = _position(text, token.start())
+    return InputError(
+        f"invalid JSON at line {line}, column {column}: nesting deeper than {MAX_NESTING}"
+    )
 
 
 def _load_json(arg: str):
@@ -259,6 +289,8 @@ def _load_json(arg: str):
         ) from exc
     except ValueError as exc:  # the only other fault: an integer too long
         raise InputError(f"invalid JSON: {_too_long()}") from exc
+    except RecursionError as exc:
+        raise _too_deep(text) from exc
 
 
 def _load_multisegment(arg: str) -> Multisegment:

@@ -14,7 +14,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .errors import BudgetExceededError, InputError, WraparoundError, expect
+from .errors import BudgetExceededError, InputError, ShapeError, WraparoundError, expect
 from .partitions import Partition
 from .segments import (
     EMPTY_SEGMENT,
@@ -255,13 +255,22 @@ class InertialClass(Value):
     The representative anchors every segment at start twist 0, so that
     inertially equivalent segments become literally equal and two
     multisegments are inertially equivalent exactly when their classes
-    compare equal.
+    compare equal.  ``orbit_sizes`` is derived from the representative: the
+    lengths of its runs of equal segments, which the twists permute.  A
+    given value must agree with it.
     """
 
     __slots__ = ("representative", "orbit_sizes")
 
-    def __init__(self, representative: Multisegment, orbit_sizes: tuple[int, ...] = ()) -> None:
-        self._init(representative, orbit_sizes)
+    def __init__(
+        self, representative: Multisegment, orbit_sizes: Optional[tuple[int, ...]] = None
+    ) -> None:
+        runs = tuple(len(list(run)) for _, run in groupby(representative.segments, _segment_key))
+        if orbit_sizes is not None and tuple(orbit_sizes) != runs:
+            raise ShapeError(
+                f"orbit sizes {tuple(orbit_sizes)} disagree with the representative's {runs}"
+            )
+        self._init(representative, runs)
 
     @property
     def degree(self) -> int:
@@ -287,10 +296,7 @@ class InertialClass(Value):
 
 def inertial_class(m: Multisegment) -> InertialClass:
     """Collapse each segment to its start-0 inertial representative."""
-    rep = Multisegment(
-        tuple(Segment(s.cuspidal, 0, s.length - 1) for s in m.segments)
-    )
-    return InertialClass(rep, tuple(len(list(run)) for _, run in groupby(rep.segments)))
+    return InertialClass(Multisegment(Segment(s.cuspidal, 0, s.length - 1) for s in m.segments))
 
 
 def enumerate_with_support(

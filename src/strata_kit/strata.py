@@ -146,7 +146,7 @@ def ring_presentation(cls: InertialClass) -> InvariantRingPresentation:
     generators: list[str] = []
     units: list[str] = []
     index = 0
-    for _, mult in cls.distinct_segments():
+    for mult in cls.orbit_sizes:
         orbit = tuple(f"X{index + i + 1}" for i in range(mult))
         index += mult
         variables.extend(orbit)
@@ -222,15 +222,18 @@ def components(
     # str() omits the dim, so classes over lines of one name can print
     # alike; such ties keep the order of their segment counts, line by line.
     choices = sorted(itertools.product(*splits), key=lambda p: list(zip(*p)))
-    classes = [
-        inertial_class(Multisegment(tuple(
-            Segment(line, 0, length - 1)
-            for length, split in enumerate(choice, 1)
-            for line, copies in zip(lines, split)
-            for _ in range(copies)
-        )))
-        for choice in choices
+    # Every class draws its segments from these, one per line and length used.
+    rows = [
+        [Segment(line, 0, length - 1) for line in lines] if count else []
+        for length, count in enumerate(counts, 1)
     ]
+    classes = []
+    for choice in choices:
+        segments: list[Segment] = []
+        for row, split in zip(rows, choice):
+            for segment, copies in zip(row, split):
+                segments += [segment] * copies
+        classes.append(InertialClass(Multisegment(segments)))
     return StratumReport(lam, tuple(
         (c, ring_presentation(c))
         for c in sorted(classes, key=lambda c: str(c.representative))
@@ -305,8 +308,18 @@ class Orbit(Value, Set):
             raise ShapeError(f"expected {sum(cls.orbit_sizes)} tokens, got {len(canonical)}")
         self._init(cls, _canonical(cls.orbit_sizes, canonical))
 
-    # Set's equality and frozenset-compatible hash, not Value's field-wise ones.
-    __eq__ = Set.__eq__
+    def __eq__(self, other: object):
+        """Set equality; O(k) between orbits whose blocks have equal sizes.
+
+        Such orbits are equal sets exactly when their canonical tokens are
+        equal.  Otherwise a block of equal tokens can spell one set two ways,
+        so the members are compared.
+        """
+        if other.__class__ is Orbit and other.cls.orbit_sizes == self.cls.orbit_sizes:
+            return self.canonical == other.canonical
+        return Set.__eq__(self, other)
+
+    # Set's frozenset-compatible hash, not Value's field-wise one.
     __hash__ = Set._hash
     # Set operators (&, |, -, ^) build a frozenset; an Orbit needs its class.
     _from_iterable = frozenset

@@ -215,6 +215,47 @@ class TestExitCodes:
         message = f"error: invalid JSON: integer has more than {limit} digits\n"
         assert invoke(capsys, *argv) == (2, "", message)
 
+    @pytest.mark.parametrize("verb", ["lambda", "kgroup-check"])
+    def test_file_not_utf8(self, capsys, tmp_path, verb):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe[")
+        assert invoke(capsys, verb, str(path)) == (
+            2, "", f"error: cannot read {path}: not UTF-8 text\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("[" * 100000, 1, 101),
+            ('{"a":' * 100000, 1, 501),
+            ('["[[[",' + "[" * 100000, 1, 107),
+            ("[\n" * 100000, 101, 1),
+        ],
+        ids=["arrays", "objects", "after-a-string", "lines"],
+    )
+    def test_json_nested_too_deep(self, capsys, text, line, column):
+        assert invoke(capsys, "lambda", text) == (
+            2, "", f"error: invalid JSON at line {line}, column {column}: nesting deeper than 100\n"
+        )
+
+    @pytest.mark.parametrize(
+        "identity,line,column",
+        [
+            ("(" * 100000, 1, 101),
+            ("D^1(" * 100000, 1, 404),
+            ("Z[0,0] =\n " + "( " * 1000, 2, 202),
+        ],
+        ids=["parentheses", "derivatives", "second-line"],
+    )
+    def test_expression_nested_too_deep(self, capsys, identity, line, column):
+        assert invoke(capsys, "kgroup-check", identity) == (
+            2, "", f"error: syntax error at line {line}, column {column}: nesting deeper than 100\n"
+        )
+
+    def test_expression_nested_at_the_limit(self, capsys):
+        identity = "(" * 50 + "D^0(" * 50 + "Z[0,0]" + ")" * 100 + " = Z[0,0]"
+        assert invoke(capsys, "kgroup-check", identity) == (0, "verified\n", "")
+
     def test_negative_derivative_order(self, capsys):
         code, out, err = invoke(capsys, "kgroup-check", "D^-1(Z[0,0]) = D^-1(Z[1,1])")
         assert (code, out) == (2, "")

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from strata_kit import (
     BudgetExceededError,
     CuspidalLabel,
+    InertialClass,
     Multisegment,
+    Orbit,
     Partition,
     Segment,
     WraparoundError,
@@ -309,6 +311,19 @@ class TestInertialClass:
         assert inertial_class(mseg((0, 1))) != inertial_class(
             Multisegment.of(seg(0, 1, line_id="s"))
         )
+
+    def test_constructor_derives_orbit_sizes(self):
+        rep = mseg((0, 0), (0, 0))
+        cls = InertialClass(rep)
+        assert cls == inertial_class(rep) == InertialClass(rep, (2,))
+        assert cls.orbit_sizes == (2,) and cls.weyl_order() == 2
+        assert Orbit(cls, (0, 1)) == frozenset({(0, 1), (1, 0)})
+        for rep in [
+            Multisegment(),
+            mseg((0, 1), (0, 1), (0, 0)),
+            Multisegment.of(seg(0, 0), seg(0, 0, dim=2), seg(0, 0, line_id="s")),
+        ]:
+            assert InertialClass(rep) == inertial_class(rep)
 
     def test_degree_sum(self):
         m = mseg((0, 1), (3, 4), (0, 0))

@@ -8,6 +8,8 @@ from strata_kit import (
     BlockSpec,
     BudgetExceededError,
     CuspidalLabel,
+    InertialClass,
+    InvariantRingPresentation,
     Multisegment,
     Orbit,
     Partition,
@@ -59,6 +61,26 @@ def brute_force_components(block):
 
     rec(0, block.n, [])
     return sorted(out, key=lambda c: str(c.representative))
+
+
+def oracle_ring(cls):
+    """Oracle: the ring presentation with one orbit per distinct segment,
+    as it was built before classes carried their orbit sizes."""
+    variables, orbits, generators, units = [], [], [], []
+    for _, mult in cls.distinct_segments():
+        orbit = tuple(f"X{len(variables) + i + 1}" for i in range(mult))
+        variables.extend(orbit)
+        orbits.append(orbit)
+        if mult == 1:
+            generators.append(orbit[0])
+            units.append(orbit[0])
+        else:
+            joined = ",".join(orbit)
+            generators.extend(f"e{k}({joined})" for k in range(1, mult + 1))
+            units.append(f"e{mult}({joined})")
+    return InvariantRingPresentation(
+        tuple(variables), tuple(orbits), tuple(generators), tuple(units)
+    )
 
 
 def brute_force_orbit(m):
@@ -218,8 +240,13 @@ class TestComponents:
         every = [(c, lambda_of(c.representative)) for c in brute_force_components(block)]
         for lam in enumerate_partitions(n):
             kept = [c for c, mine in every if mine == lam]
-            expected = StratumReport(lam, tuple((c, ring_presentation(c)) for c in kept))
-            assert components(block, lam).to_json() == expected.to_json()
+            expected = StratumReport(lam, tuple((c, oracle_ring(c)) for c in kept))
+            report = components(block, lam, bound=len(kept))
+            assert report.to_json() == expected.to_json()
+            assert report == expected
+            if kept:
+                with pytest.raises(BudgetExceededError, match=f"has {len(kept)} classes$"):
+                    components(block, lam, bound=len(kept) - 1)
 
     def test_budget_counts_classes_returned(self):
         block = BlockSpec((CuspidalLabel("r"), CuspidalLabel("s", 2)), 28)
@@ -325,6 +352,20 @@ class TestBijection:
         empty = multisegment_to_orbit(Multisegment())[1]
         assert list(empty) == [()] and len(empty) == 1 and () in empty
 
+    def test_orbits_of_equal_block_sizes_compare_in_linear_time(self):
+        m = mseg(*((t, t) for t in range(10)))
+        cls, orbit = multisegment_to_orbit(m)
+        twin, other = Orbit(cls, tuple(range(9, -1, -1))), Orbit(cls, tuple(range(1, 11)))
+
+        def timed():
+            start = time.perf_counter()
+            verdicts = (orbit == twin, orbit != twin, orbit == other)
+            return time.perf_counter() - start, verdicts
+
+        best, verdicts = min(timed() for _ in range(5))
+        assert verdicts == (True, False, False)
+        assert best < 1e-3
+
     def test_ten_distinct_twists_in_under_a_millisecond(self):
         m = mseg(*((t, t) for t in range(10)))
 
@@ -372,6 +413,31 @@ class TestBijection:
         assert hash(orbit) == hash(expected)
         for tokens in candidates:
             assert (tokens in orbit) == (tokens in expected)
+
+
+    @settings(deadline=None)
+    @given(orbit_points(), orbit_points(), st.data())
+    def test_orbit_equality_matches_brute_force(self, m1, m2, data):
+        """Orbit equality is set equality, also between orbits of different
+        classes, and equal orbits hash alike."""
+        cls1, orbit1 = multisegment_to_orbit(m1)
+        # The tokens of m1 regrouped into blocks of other sizes: a class whose
+        # orbit can be the same set as orbit1 through blocks of equal tokens.
+        cuts = data.draw(st.sets(st.integers(1, len(m1) - 1))) if len(m1) > 1 else set()
+        sizes = [hi - lo for lo, hi in zip([0, *sorted(cuts)], [*sorted(cuts), len(m1)])]
+        regrouped = InertialClass(Multisegment.of(*(
+            seg(0, length - 1) for length, size in enumerate(sizes, 1) for _ in range(size)
+        )))
+        m3 = point_to_multisegment(regrouped, orbit1.canonical)
+        for m in (m2, m3):
+            cls, orbit = multisegment_to_orbit(m)
+            if cls1.weyl_order() * cls.weyl_order() > 5040:
+                continue
+            expected1, expected = brute_force_orbit(m1)[1], brute_force_orbit(m)[1]
+            assert (orbit1 == orbit) == (orbit == orbit1) == (expected1 == expected)
+            assert (orbit1 != orbit) == (expected1 != expected)
+            if orbit1 == orbit:
+                assert hash(orbit1) == hash(orbit)
 
 
 class TestTangentAndExt:

@@ -25,6 +25,7 @@ from strata_kit import (
     Orbit,
     Partition,
     Segment,
+    ShapeError,
     StratumReport,
     Verdict,
     downset,
@@ -162,6 +163,18 @@ def test_constructor_keywords_and_defaults():
     assert Verdict("verified") == Verdict(status="verified", reason="", witness_degree=None)
     assert BlockSpec(lines=(R,), n=1) == BlockSpec((R,), 1)
     assert Orbit(cls=CLASS, canonical=(3,)) == Orbit(CLASS, [3])
+
+
+def test_inertial_class_checks_given_orbit_sizes():
+    rep = Multisegment.of(Segment(R, 0, 0), Segment(R, 0, 0), Segment(R, 0, 1))
+    cls = InertialClass(rep, [1, 2])
+    assert cls.orbit_sizes == (1, 2) and cls.to_json()["orbit_sizes"] == [1, 2]
+    for wrong in [(), (2, 1), (3,), (1, 2, 0)]:
+        with pytest.raises(ShapeError, match=r"disagree with the representative's \(1, 2\)"):
+            InertialClass(rep, wrong)
+    for twin in (pickle.loads(pickle.dumps(cls)), copy.copy(cls), copy.deepcopy(cls)):
+        assert type(twin) is InertialClass
+        assert twin == cls and hash(twin) == hash(cls) and repr(twin) == repr(cls)
 
 
 # --------------------------------------------------------------------------
