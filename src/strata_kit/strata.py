@@ -179,19 +179,22 @@ def _split_counts(count: int, dims: Sequence[int]) -> list[list[int]]:
 
 def _splits(count: int, dims: Sequence[int], ways: list[list[int]]) -> list[tuple[int, ...]]:
     """Every k with sum dims . k == count, in lexicographic order, each built
-    once: a prefix is extended only where ``ways`` says its rest has a split."""
-    out = []
+    once: a prefix is extended only where ``ways`` says its rest has a split.
 
-    def extend(i: int, rest: int, prefix: tuple[int, ...]) -> None:
-        if i == len(dims):
-            out.append(prefix)
-            return
-        for k in range(rest // dims[i] + 1):
-            if ways[i + 1][rest - k * dims[i]]:
-                extend(i + 1, rest - k * dims[i], prefix + (k,))
-
-    extend(0, count, ())
-    return out
+    Prefixes grow one line at a time rather than through a recursive
+    closure, which would be a reference cycle left for the collector on
+    every call.
+    """
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), count)]
+    for i, d in enumerate(dims):
+        below = ways[i + 1]
+        prefixes = [
+            (prefix + (k,), rest - k * d)
+            for prefix, rest in prefixes
+            for k in range(rest // d + 1)
+            if below[rest - k * d]
+        ]
+    return [prefix for prefix, _ in prefixes]
 
 
 def components(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import time
 
@@ -271,6 +272,24 @@ class TestComponents:
         # no class and no bound is exceeded, however many splits lam_2 has.
         block = BlockSpec((CuspidalLabel("r", 2), CuspidalLabel("s", 3)), 4001)
         assert components(block, Partition.of(2001, 2000), bound=0).components == ()
+
+    def test_leaves_no_cyclic_garbage(self):
+        # A reference cycle per call is freed only by the collector, and its
+        # pauses then land in the calls that follow.
+        block = BlockSpec((CuspidalLabel("r"), CuspidalLabel("s", 2)), 8)
+        lams = enumerate_partitions(8)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for lam in lams:
+                for cls, ring in components(block, lam).components:
+                    m = point_to_multisegment(cls, tuple(range(ring.dimension)))
+                    multisegment_to_orbit(m)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_report_json_shape(self):
         rep = components(self.block(2), Partition.of(2))
