@@ -15,13 +15,15 @@ import os
 import re
 import sys
 
-from .errors import InputError, StrataKitError, expect
+from .errors import BudgetExceededError, InputError, StrataKitError, expect
 from .kgroup import (
-    DerivativeExpr,
     GradedVirtual,
-    ProductExpr,
-    SumExpr,
-    ZClass,
+    Term,
+    _add_term,
+    _class,
+    _derivative,
+    _multiply,
+    _wrap,
     check_identity,
 )
 from .multisegments import (
@@ -77,7 +79,9 @@ class _Parser:
     prod := atom ('*' atom)*;
     atom := 'Z[' int ',' int (';' ident)? ']' | 'Z{' mseg '}'
           | 'D^' int '(' expr ')' | '(' expr ')', with derivative order >= 0.
-    Each rule returns the Grothendieck-group element it denotes.
+    Every element the grammar denotes lives in degree 0, so each rule
+    returns the combination of terms it denotes, and ``parse`` and
+    ``identity`` wrap each side once.
     """
 
     def __init__(self, src: str) -> None:
@@ -162,7 +166,7 @@ class _Parser:
             self._fail(str(exc))
             raise  # unreachable
 
-    def _enclosed(self) -> GradedVirtual:
+    def _enclosed(self) -> dict[Term, int]:
         """'(' expr ')', at most MAX_NESTING deep."""
         self._skip_ws()
         if self.depth == MAX_NESTING:
@@ -174,7 +178,7 @@ class _Parser:
         self.depth -= 1
         return inner
 
-    def _atom(self) -> GradedVirtual:
+    def _atom(self) -> dict[Term, int]:
         ch = self._peek()
         if ch == "(":
             return self._enclosed()
@@ -187,12 +191,12 @@ class _Parser:
             if degree < 0:
                 self.pos = start
                 self._fail("derivative order must be >= 0")
-            return DerivativeExpr(degree, self._enclosed())
+            return _derivative(degree, self._enclosed())
         if ch == "Z":
             self._expect("Z")
             ch = self._peek()
             if ch == "[":
-                return ZClass(Multisegment.of(self._segment()))
+                return _class(Multisegment.of(self._segment()))
             if ch == "{":
                 self._expect("{")
                 segs: list[Segment] = []
@@ -202,23 +206,25 @@ class _Parser:
                         self._expect(",")
                         segs.append(self._segment())
                 self._expect("}")
-                return ZClass(Multisegment.of(*segs))
+                return _class(Multisegment.of(*segs))
             self._fail("expected '[' or '{' after 'Z'")
         self._fail("expected an atom")
 
-    def _product(self) -> GradedVirtual:
+    def _product(self) -> dict[Term, int]:
         factors = [self._atom()]
         while self._peek() == "*":
             self._expect("*")
             factors.append(self._atom())
-        return factors[0] if len(factors) == 1 else ProductExpr(factors)
+        return factors[0] if len(factors) == 1 else _multiply({}, factors)
 
-    def expression(self) -> GradedVirtual:
-        terms = [self._product()]
+    def expression(self) -> dict[Term, int]:
+        # Every rule returns a new combination, so the sum can grow the first.
+        acc = self._product()
         while self._peek() == "+":
             self._expect("+")
-            terms.append(self._product())
-        return terms[0] if len(terms) == 1 else SumExpr(terms)
+            for term, coeff in self._product().items():
+                _add_term(acc, term, coeff)
+        return acc
 
     def _end(self) -> None:
         self._skip_ws()
@@ -226,16 +232,16 @@ class _Parser:
             self._fail("unexpected trailing input")
 
     def parse(self) -> GradedVirtual:
-        element = self.expression()
+        combo = self.expression()
         self._end()
-        return element
+        return _wrap({0: combo})
 
     def identity(self) -> tuple[GradedVirtual, GradedVirtual]:
         lhs = self.expression()
         self._expect("=")
         rhs = self.expression()
         self._end()
-        return lhs, rhs
+        return _wrap({0: lhs}), _wrap({0: rhs})
 
 
 def parse_expression(src: str) -> GradedVirtual:
@@ -494,6 +500,9 @@ def run(argv: list[str]) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceededError as exc:
+        print(f"error: {exc} (raise it with --budget or {BUDGET_ENV_VAR})", file=sys.stderr)
+        return 1
     except StrataKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -57,6 +57,11 @@ def _sorted_term(atoms) -> Term:
     return tuple(sorted([a for a in atoms if a._key], key=_atom_key))
 
 
+def _class(m: Multisegment) -> dict[Term, int]:
+    """The degree-0 combination of the class Z(m)."""
+    return {(m,) if m._key else (): 1}
+
+
 def _add_term(acc: dict, term: Term, coeff: int) -> None:
     new = acc.get(term, 0) + coeff
     if new:
@@ -138,33 +143,35 @@ def _degree_zero(x: GradedVirtual) -> dict[Term, int]:
     return x.layers.get(0, {})
 
 
-def _mul(acc: dict[Term, int], x: dict[Term, int], y: dict[Term, int]) -> dict[Term, int]:
-    """Add the product of two term combinations into acc and return acc.
+def _multiply(acc: dict[Term, int], combos) -> dict[Term, int]:
+    """Add the product of degree-0 combinations into acc and return acc.
 
-    Both sides hold canonical terms with nonzero coefficients, so a product
-    with the trivial term () is the other term itself.
+    Each output term is the atoms of one term per factor, sorted once; the
+    factors hold canonical terms, so no trivial atom needs dropping.
     """
-    for t1, c1 in x.items():
-        for t2, c2 in y.items():
-            term = tuple(sorted(t1 + t2, key=_atom_key)) if t1 and t2 else t1 or t2
-            _add_term(acc, term, c1 * c2)
+    for choice in itertools.product(*[combo.items() for combo in combos]):
+        atoms: tuple = ()
+        coeff = 1
+        for term, c in choice:
+            atoms += term
+            coeff *= c
+        _add_term(acc, tuple(sorted(atoms, key=_atom_key)), coeff)
     return acc
 
 
-def _leibniz(tables, top: Optional[int] = None) -> dict[int, dict[Term, int]]:
+def _leibniz(tables, degree: Optional[int] = None) -> dict[int, dict[Term, int]]:
     """Graded product of graded derivative tables (the Leibniz rule).
 
-    Degrees only add up, so with ``top`` given no partial product above it
-    is formed, and the layers above ``top`` are left out.
+    Each choice of one layer per table contributes the product of those
+    layers in the sum of their degrees.  With ``degree`` given, only the
+    choices summing to it are multiplied, so only that layer is built.
     """
-    result: dict[int, dict[Term, int]] = {0: {(): 1}}
-    for table in tables:
-        nxt: dict[int, dict[Term, int]] = {}
-        for g1, x in result.items():
-            for g2, y in table.items():
-                if top is None or g1 + g2 <= top:
-                    _mul(nxt.setdefault(g1 + g2, {}), x, y)
-        result = nxt
+    tables = list(tables)
+    result: dict[int, dict[Term, int]] = {}
+    for degrees in itertools.product(*tables):
+        g = sum(degrees)
+        if degree is None or g == degree:
+            _multiply(result.setdefault(g, {}), [t[d] for t, d in zip(tables, degrees)])
     return result
 
 
@@ -204,20 +211,20 @@ def atom_derivative(atom: Multisegment) -> Optional[dict[int, dict[Term, int]]]:
     segs = atom.segments
     if len(segs) == 1:
         d = segs[0]
-        return {0: {(atom,): 1}, d.dim: {_sorted_term([Multisegment.of(top_minus(d))]): 1}}
+        return {0: {(atom,): 1}, d.dim: _class(Multisegment.of(top_minus(d)))}
     if len(segs) == 2 and _is_lemcomp(*segs):
         k = segs[0].dim
         mid, bottom = _composition(*segs)
-        return {0: {(atom,): 1}, k: {(mid,): 1}, 2 * k: {_sorted_term([bottom]): 1}}
+        return {0: {(atom,): 1}, k: {(mid,): 1}, 2 * k: _class(bottom)}
     if atom.infinite_period and _unlinked(itertools.combinations(segs, 2)):
         return _leibniz(atom_derivative(Multisegment.of(s)) for s in segs)
     return None
 
 
-def term_derivative(term: Term, top: Optional[int] = None) -> Optional[GradedVirtual]:
+def term_derivative(term: Term, degree: Optional[int] = None) -> Optional[GradedVirtual]:
     """Leibniz expansion of a product of atoms; None if any factor is unknown.
 
-    With ``top`` given, only the layers of degree at most ``top`` are built.
+    With ``degree`` given, only the layer of that degree is built.
     """
     tables = []
     for atom in term:
@@ -225,7 +232,22 @@ def term_derivative(term: Term, top: Optional[int] = None) -> Optional[GradedVir
         if table is None:
             return None
         tables.append(table)
-    return _wrap(_leibniz(tables, top))
+    return _wrap(_leibniz(tables, degree))
+
+
+def _derivative(degree: int, combo: dict[Term, int]) -> dict[Term, int]:
+    """The degree-g derivative component of a combination, as DerivativeExpr."""
+    if degree == 0:
+        return dict(combo)
+    acc: dict[Term, int] = {}
+    for term, coeff in combo.items():
+        graded = term_derivative(term, degree)
+        if graded is None:
+            _add_term(acc, (OpaqueDerivative(_term_str(term), degree),), coeff)
+            continue
+        for t2, c2 in graded.layers.get(degree, {}).items():
+            _add_term(acc, t2, coeff * c2)
+    return acc
 
 
 def total_derivative(x: GradedVirtual) -> GradedVirtual:
@@ -293,7 +315,7 @@ def weirdcase_constituents(alpha: int, delta: Segment) -> list[Multisegment]:
 
 def ZClass(m: Multisegment) -> GradedVirtual:
     """The class Z(m) of the irreducible with multisegment m, in degree 0."""
-    return _wrap({0: {_sorted_term([m]): 1}})
+    return _wrap({0: _class(m)})
 
 
 def ProductExpr(factors) -> GradedVirtual:
@@ -317,19 +339,7 @@ def DerivativeExpr(degree: int, inner: GradedVirtual) -> GradedVirtual:
     """
     if degree < 0:
         raise ShapeError(f"derivative order must be >= 0, got {degree}")
-    terms = _degree_zero(inner)
-    if degree == 0:
-        return _wrap({0: dict(terms)})
-    acc: dict[Term, int] = {}
-    for term, coeff in terms.items():
-        graded = term_derivative(term, degree)
-        if graded is None:
-            marker = OpaqueDerivative(_term_str(term), degree)
-            _add_term(acc, (marker,), coeff)
-            continue
-        for t2, c2 in graded.layers.get(degree, {}).items():
-            _add_term(acc, t2, coeff * c2)
-    return _wrap({0: acc})
+    return _wrap({0: _derivative(degree, _degree_zero(inner))})
 
 
 def _try_rewrite_pair(a1: Multisegment, a2: Multisegment) -> Optional[list[Multisegment]]:

@@ -189,7 +189,8 @@ def downset(m: Multisegment, node_bound: int = DEFAULT_NODE_BOUND) -> Poset:
                     nxt.append(child)
                     if len(seen) > node_bound:
                         raise BudgetExceededError(
-                            f"downset node bound {node_bound} exceeded"
+                            f"downset node bound {node_bound} exceeded:"
+                            f" the search had reached {len(seen)} nodes"
                         )
         frontier = nxt
     nodes = tuple(sorted(seen, key=str))
@@ -255,9 +256,10 @@ class InertialClass(Value):
     The representative anchors every segment at start twist 0, so that
     inertially equivalent segments become literally equal and two
     multisegments are inertially equivalent exactly when their classes
-    compare equal.  ``orbit_sizes`` is derived from the representative: the
-    lengths of its runs of equal segments, which the twists permute.  A
-    given value must agree with it.
+    compare equal; a segment starting elsewhere raises ``ShapeError``.
+    ``orbit_sizes`` is derived from the representative: the lengths of its
+    runs of equal segments, which the twists permute.  A given value must
+    agree with it.
     """
 
     __slots__ = ("representative", "orbit_sizes")
@@ -265,7 +267,13 @@ class InertialClass(Value):
     def __init__(
         self, representative: Multisegment, orbit_sizes: Optional[tuple[int, ...]] = None
     ) -> None:
-        runs = tuple(len(list(run)) for _, run in groupby(representative.segments, _segment_key))
+        sizes = []
+        for _, run in groupby(representative.segments, _segment_key):
+            first, *rest = run
+            if first.a:
+                raise ShapeError(f"representative segment {first} does not start at twist 0")
+            sizes.append(1 + len(rest))
+        runs = tuple(sizes)
         if orbit_sizes is not None and tuple(orbit_sizes) != runs:
             raise ShapeError(
                 f"orbit sizes {tuple(orbit_sizes)} disagree with the representative's {runs}"
@@ -305,7 +313,9 @@ def enumerate_with_support(
     """All multisegments whose support is exactly the given multiset of twists."""
     pts = list(points)
     if len(pts) > bound:
-        raise BudgetExceededError(f"support size bound {bound} exceeded")
+        raise BudgetExceededError(
+            f"support size bound {bound} exceeded: the support has {len(pts)} points"
+        )
     if any(p.period is not None for p in pts):
         raise WraparoundError("support enumeration undefined with wraparound")
     remaining: Counter = Counter((p.line_id, p.dim, p.twist) for p in pts)

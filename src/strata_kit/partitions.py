@@ -126,15 +126,20 @@ def enumerate_partitions(n: int, bound: int = DEFAULT_ENUMERATION_BOUND) -> list
     if n > bound:
         raise BudgetExceededError(f"partition enumeration bound {bound} exceeded by n={n}")
     out: list[Partition] = []
-
-    def rec(remaining: int, cap: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return out
+    parts = [n] if n else []
+    while True:
+        out.append(Partition(tuple(parts)))
+        # The next partition in this order: lower the last part above 1 by
+        # one, and refill what it and the trailing 1s held greedily with
+        # parts no larger than the lowered one.
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return out
+        top = parts.pop() - 1
+        count, rest = divmod(ones + top + 1, top)
+        parts += [top] * count
+        if rest:
+            parts.append(rest)

@@ -275,11 +275,26 @@ class TestExitCodes:
         assert "repeats the cuspidal line r" in err
 
     def test_budget_error(self, capsys):
-        code, _, err = invoke(
-            capsys, "poset", MSEG_PAIR, "--budget", "0"
-        )
-        assert code == 1
-        assert "bound" in err
+        """A bound that is exceeded says how far the input went and names the knob."""
+        for argv, message in [
+            (
+                ["poset", MSEG_PAIR, "--budget", "0"],
+                "downset node bound 0 exceeded: the search had reached 2 nodes",
+            ),
+            (
+                ["enumerate", "--support", json.dumps([["r", t] for t in range(12)]),
+                 "--budget", "10"],
+                "support size bound 10 exceeded: the support has 12 points",
+            ),
+            (
+                ["strata", "--block", '{"lines":[{"line":"r"},{"line":"s"}],"n":4}',
+                 "--lambda", "[4]", "--budget", "2"],
+                "component enumeration bound 2 exceeded: the stratum has 5 classes",
+            ),
+        ]:
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: {message} (raise it with --budget or STRATAKIT_BUDGET)\n"
 
     def test_unknown_verb(self, capsys):
         assert run(["frobnicate"]) == 2

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from strata_kit import (
     CuspidalLabel,
@@ -25,8 +25,15 @@ from strata_kit import (
     total_derivative,
     weirdcase_constituents,
 )
-from strata_kit.cli import parse_expression
-from strata_kit.kgroup import OpaqueDerivative, _sorted_term
+from strata_kit.cli import _Parser, parse_expression
+from strata_kit.kgroup import (
+    OpaqueDerivative,
+    _add_term,
+    _atom_key,
+    _leibniz,
+    _sorted_term,
+    atom_derivative,
+)
 
 from conftest import mseg, seg
 
@@ -422,3 +429,111 @@ def test_constructor_makes_terms_canonical(atoms, data):
     assert one == GradedVirtual({0: {(): 1}})
     assert ProductExpr([one, x]) == ProductExpr([x, one]) == x
     assert SumExpr([x, GradedVirtual({0: {tuple(atoms): -1}})]) == GradedVirtual()
+
+
+def _stepwise_leibniz(tables):
+    """The Leibniz product one table at a time, each partial product in every
+    degree formed and its terms sorted again: the oracle for ``_leibniz``."""
+    result = {0: {(): 1}}
+    for table in tables:
+        nxt = {}
+        for g1, x in result.items():
+            for g2, y in table.items():
+                layer = nxt.setdefault(g1 + g2, {})
+                for t1, c1 in x.items():
+                    for t2, c2 in y.items():
+                        _add_term(layer, tuple(sorted(t1 + t2, key=_atom_key)), c1 * c2)
+        result = nxt
+    return {g: combo for g, combo in result.items() if combo}
+
+
+def _multisegment(segs):
+    return Multisegment.of(*(seg(a, a + n, line_id=line) for line, a, n in segs))
+
+
+# (line, start, length - 1) of a segment.
+_segment_st = st.tuples(st.sampled_from("rs"), st.integers(-2, 3), st.integers(0, 2))
+# Derivative tables of atoms, and tables of signed combinations of any terms,
+# whose products can cancel.
+table_st = st.one_of(
+    _segment_st.map(lambda s: atom_derivative(_multisegment([s]))),
+    pair_atom_st.map(
+        lambda atom: atom_derivative(
+            Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in atom[1]))
+        )
+    ),
+    st.dictionaries(
+        st.integers(0, 3),
+        st.dictionaries(atoms_st.map(_sorted_term), st.sampled_from([-2, -1, 1, 2]), max_size=3),
+        max_size=3,
+    ),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(table_st, max_size=4))
+def test_leibniz_builds_exactly_the_asked_for_layer(tables):
+    """Each layer of the product, built alone, is that layer of the stepwise
+    expansion; without a degree, every layer is."""
+    expected = _stepwise_leibniz(tables)
+
+    def nonzero(layers):
+        return {g: combo for g, combo in layers.items() if combo}
+
+    assert nonzero(_leibniz(iter(tables))) == expected
+    for g in range(max(expected, default=0) + 2):
+        layers = nonzero(_leibniz(tables, g))
+        assert layers.keys() <= {g}
+        assert layers.get(g, {}) == expected.get(g, {})
+
+
+# K-group expressions from the grammar, each drawn with the element the public
+# constructors build for it and whether its text is a sum at the top.
+def _class_node(segs, braces):
+    texts = [_seg_text(line, a, a + n) for line, a, n in segs]
+    text = "Z{%s}" % ",".join(texts) if braces else "Z" + texts[0]
+    return text, ZClass(_multisegment(segs)), False
+
+
+def _grouped(node):
+    text, _, is_sum = node
+    return f"({text})" if is_sum else text
+
+
+_leaf_st = st.one_of(
+    _segment_st.map(lambda s: _class_node([s], braces=False)),
+    st.lists(_segment_st, max_size=3).map(lambda segs: _class_node(segs, braces=True)),
+)
+_node_st = st.recursive(
+    _leaf_st,
+    lambda node: st.one_of(
+        node.map(lambda n: (f"({n[0]})", n[1], False)),
+        st.builds(
+            lambda g, n: (f"D^{g}({n[0]})", DerivativeExpr(g, n[1]), False),
+            st.integers(0, 4),
+            node,
+        ),
+        st.lists(node, min_size=2, max_size=3).map(
+            lambda ns: ("*".join(map(_grouped, ns)), ProductExpr(n[1] for n in ns), False)
+        ),
+        st.lists(node, min_size=2, max_size=3).map(
+            lambda ns: (" + ".join(n[0] for n in ns), SumExpr(n[1] for n in ns), True)
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None)
+@example(("D^3(Z[0,0]) + D^2(Z[1,1]*Z{})", GradedVirtual(), True))
+@example(("((Z[0,0;s]))*D^1(Z{[0,1],[1,2]})", ProductExpr([
+    ZClass(mseg((0, 0), line_id="s")),
+    GradedVirtual({0: {(OpaqueDerivative("Z{[1,2]_r,[0,1]_r}", 1),): 1}}),
+]), False))
+@given(_node_st)
+def test_parser_builds_what_the_constructors_build(node):
+    text, element, _ = node
+    parsed = parse_expression(text)
+    assert parsed == element
+    assert str(parsed) == str(element)
+    assert _Parser(f"Z{{}} = {text}").identity() == (ZClass(Multisegment()), element)

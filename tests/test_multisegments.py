@@ -12,6 +12,7 @@ from strata_kit import (
     Orbit,
     Partition,
     Segment,
+    ShapeError,
     WraparoundError,
     add,
     canonical_order,
@@ -324,6 +325,14 @@ class TestInertialClass:
             Multisegment.of(seg(0, 0), seg(0, 0, dim=2), seg(0, 0, line_id="s")),
         ]:
             assert InertialClass(rep) == inertial_class(rep)
+
+    def test_constructor_rejects_unanchored_representative(self):
+        rep = mseg((0, 1), (5, 6))
+        assert inertial_class(rep).orbit_sizes == (2,)
+        with pytest.raises(ShapeError, match=r"segment \[5,6\]_r does not start at twist 0"):
+            InertialClass(rep)
+        with pytest.raises(ShapeError, match=r"segment \[3,3\]_r does not start"):
+            InertialClass(mseg((0, 0), (0, 1), (3, 3)))
 
     def test_degree_sum(self):
         m = mseg((0, 1), (3, 4), (0, 0))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -140,3 +141,26 @@ class TestEnumerate:
             enumerate_partitions(41)
         with pytest.raises(ShapeError):
             enumerate_partitions(-1)
+
+    def test_matches_sorted_brute_force(self):
+        for n in range(10):
+            brute = [
+                parts[::-1]
+                for k in range(n + 1)
+                for parts in itertools.combinations_with_replacement(range(1, n + 1), k)
+                if sum(parts) == n
+            ]
+            assert [lam.parts for lam in enumerate_partitions(n)] == sorted(brute, reverse=True)
+
+    def test_leaves_no_cyclic_garbage(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for n in range(10):
+                enumerate_partitions(n)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
