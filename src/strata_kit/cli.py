@@ -20,6 +20,7 @@ from .kgroup import (
     GradedVirtual,
     Term,
     _add_term,
+    _atom_key,
     _class,
     _derivative,
     _multiply,
@@ -30,6 +31,7 @@ from .multisegments import (
     DEFAULT_SUPPORT_BOUND,
     DEFAULT_NODE_BOUND,
     Multisegment,
+    _single,
     downset,
     enumerate_with_support,
     inertial_class,
@@ -49,9 +51,12 @@ from .strata import (
 DEFAULT_LINE_ID = "r"
 BUDGET_ENV_VAR = "STRATAKIT_BUDGET"
 
-# A well-formed segment '[a,b]' or '[a,b;line]', with the whitespace, digits
-# and identifier characters that the parser's character-level reading accepts.
-_SEGMENT = re.compile(r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*(?:;\s*(\w+)\s*)?\]")
+# One token past any whitespace.  Groups: 1 a well-formed segment '[a,b]' or
+# '[a,b;line]', 2 its 'Z' and the space after it, or '', 3-5 a, b, line;
+# 6 an integer; 7 ';' and a line name, 8 the name; 9 any other character;
+# none at the end.  \s, \d and \w are str.isspace, isdecimal, isalnum or '_'.
+_TOKEN = re.compile(r"\s*(?:(?P<seg>(Z?\s*)\[\s*(-?\d+)\s*,\s*(-?\d+)\s*(?:;\s*(\w+)\s*)?\])"
+                    r"|(?P<int>-?\d+)|(?P<name>;\s*(\w+))|(?P<op>.))?")
 # Brackets may nest this deep in an expression; a JSON input that nests too
 # deep for the decoder is reported at its first bracket past this depth.
 MAX_NESTING = 100
@@ -81,96 +86,86 @@ class _Parser:
           | 'D^' int '(' expr ')' | '(' expr ')', with derivative order >= 0.
     Every element the grammar denotes lives in degree 0, so each rule
     returns the combination of terms it denotes, and ``parse`` and
-    ``identity`` wrap each side once.
+    ``identity`` wrap each side once.  ``tok`` is the current token, one
+    match of ``_TOKEN``, and ``op`` its character if it is a single one.
     """
 
     def __init__(self, src: str) -> None:
         self.src = src
-        self.pos = 0
         self.depth = 0
+        self._advance(0)
 
-    def _fail(self, message: str) -> None:
-        raise ExpressionSyntaxError(message, *_position(self.src, self.pos))
+    def _advance(self, pos: int) -> None:
+        """Make the token at ``pos``, past any whitespace, the current one."""
+        self.tok = tok = _TOKEN.match(self.src, pos)
+        self.op = tok[9]
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+    def _error(self, message: str, pos: int | None = None) -> ExpressionSyntaxError:
+        """The fault at ``pos``, by default where the current token starts."""
+        if pos is None:
+            pos = self.tok.start(self.tok.lastindex) if self.tok.lastindex else len(self.src)
+        return ExpressionSyntaxError(message, *_position(self.src, pos))
 
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def _expect(self, token: str) -> None:
-        self._skip_ws()
-        if not self.src.startswith(token, self.pos):
-            self._fail(f"expected {token!r}")
-        self.pos += len(token)
+    def _expect(self, op: str) -> None:
+        if self.op != op:
+            raise self._error(f"expected {op!r}")
+        self._advance(self.tok.end())
 
     def _int(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self._peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.src) and self.src[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start or self.src[start:self.pos] == "-":
-            self.pos = start
-            self._fail("expected an integer")
+        tok = self.tok
+        if tok.lastgroup != "int":
+            raise self._error("expected an integer")
+        self._advance(tok.end())
         try:
-            return int(self.src[start : self.pos])
+            return int(tok[6])
         except ValueError:
-            self.pos = start
-            self._fail(_too_long())
-            raise  # unreachable
+            raise self._error(_too_long(), tok.start(6)) from None
 
-    def _ident(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.src) and (
-            self.src[self.pos].isalnum() or self.src[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            self._fail("expected an identifier")
-        return self.src[start : self.pos]
-
-    def _segment(self) -> Segment:
-        """Read a segment in one match; read any other text again by
-        characters, which names the fault."""
-        match = _SEGMENT.match(self.src, self.pos)
-        if match is None:
-            return self._segment_chars()
+    def _segment_token(self) -> Segment:
+        """The segment the current token spells; reading it again token by
+        token names an integer in it that is too long."""
+        tok = self.tok
         try:
-            a, b = int(match[1]), int(match[2])
-        except ValueError:  # an integer too long
-            return self._segment_chars()
-        self.pos = match.end()
-        return self._make_segment(match[3] or DEFAULT_LINE_ID, a, b)
+            a, b = int(tok[3]), int(tok[4])
+        except ValueError:
+            return self._segment_tokens(tok.end(2))
+        self._advance(tok.end())
+        return self._make_segment(tok[5] or DEFAULT_LINE_ID, a, b, tok.end(2))
 
-    def _segment_chars(self) -> Segment:
-        self._expect("[")
+    def _segment_tokens(self, bracket: int) -> Segment:
+        """The segment whose '[' is at ``bracket``, read one token at a time."""
+        self._advance(bracket + 1)
         a = self._int()
         self._expect(",")
         b = self._int()
         line_id = DEFAULT_LINE_ID
-        if self._peek() == ";":
-            self._expect(";")
-            line_id = self._ident()
+        if self.tok.lastgroup == "name":
+            line_id = self.tok[8]
+            self._advance(self.tok.end())
+        elif self.op == ";":
+            self._advance(self.tok.end())
+            raise self._error("expected an identifier")
         self._expect("]")
-        return self._make_segment(line_id, a, b)
+        return self._make_segment(line_id, a, b, bracket)
 
-    def _make_segment(self, line_id: str, a: int, b: int) -> Segment:
+    def _segment(self) -> Segment:
+        """The segment at the current token, inside 'Z{...}'."""
+        if self.tok.lastgroup == "seg" and not self.tok[2]:
+            return self._segment_token()
+        if self.op != "[":
+            raise self._error("expected '['")
+        return self._segment_tokens(self.tok.start(9))
+
+    def _make_segment(self, line_id: str, a: int, b: int, bracket: int) -> Segment:
         try:
             return Segment(CuspidalLabel(line_id), a, b)
         except StrataKitError as exc:
-            self._fail(str(exc))
-            raise  # unreachable
+            raise self._error(str(exc), bracket) from None
 
     def _enclosed(self) -> dict[Term, int]:
         """'(' expr ')', at most MAX_NESTING deep."""
-        self._skip_ws()
         if self.depth == MAX_NESTING:
-            self._fail(f"nesting deeper than {MAX_NESTING}")
+            raise self._error(f"nesting deeper than {MAX_NESTING}")
         self._expect("(")
         self.depth += 1
         inner = self.expression()
@@ -179,57 +174,62 @@ class _Parser:
         return inner
 
     def _atom(self) -> dict[Term, int]:
-        ch = self._peek()
-        if ch == "(":
+        """Any atom but a well-formed 'Z[a,b]', which ``_product`` reads."""
+        if self.op == "(":
             return self._enclosed()
-        if ch == "D":
-            self._expect("D")
+        if self.op == "D":
+            self._advance(self.tok.end())
             self._expect("^")
-            self._skip_ws()
-            start = self.pos
+            tok = self.tok
             degree = self._int()
             if degree < 0:
-                self.pos = start
-                self._fail("derivative order must be >= 0")
+                raise self._error("derivative order must be >= 0", tok.start(6))
             return _derivative(degree, self._enclosed())
-        if ch == "Z":
-            self._expect("Z")
-            ch = self._peek()
-            if ch == "[":
-                return _class(Multisegment.of(self._segment()))
-            if ch == "{":
-                self._expect("{")
+        if self.op == "Z":
+            self._advance(self.tok.end())
+            if self.op == "{":
+                self._advance(self.tok.end())
                 segs: list[Segment] = []
-                if self._peek() != "}":
+                if self.op != "}":
                     segs.append(self._segment())
-                    while self._peek() == ",":
-                        self._expect(",")
+                    while self.op == ",":
+                        self._advance(self.tok.end())
                         segs.append(self._segment())
                 self._expect("}")
                 return _class(Multisegment.of(*segs))
-            self._fail("expected '[' or '{' after 'Z'")
-        self._fail("expected an atom")
+            if self.op == "[":  # a malformed segment: reading it names the fault
+                return _class(Multisegment.of(self._segment()))
+            raise self._error("expected '[' or '{' after 'Z'")
+        raise self._error("expected an atom")
 
     def _product(self) -> dict[Term, int]:
-        factors = [self._atom()]
-        while self._peek() == "*":
-            self._expect("*")
-            factors.append(self._atom())
+        """The factors 'Z[a,b]' form one sorted term; only the others multiply it."""
+        plain: list[Multisegment] = []
+        factors: list[dict[Term, int]] = []
+        while True:
+            if self.tok.lastgroup == "seg" and self.tok[2]:
+                plain.append(_single(self._segment_token()))
+            else:
+                factors.append(self._atom())
+            if self.op != "*":
+                break
+            self._advance(self.tok.end())
+        if plain:
+            factors.insert(0, {tuple(sorted(plain, key=_atom_key)): 1})
         return factors[0] if len(factors) == 1 else _multiply({}, factors)
 
     def expression(self) -> dict[Term, int]:
         # Every rule returns a new combination, so the sum can grow the first.
         acc = self._product()
-        while self._peek() == "+":
-            self._expect("+")
+        while self.op == "+":
+            self._advance(self.tok.end())
             for term, coeff in self._product().items():
                 _add_term(acc, term, coeff)
         return acc
 
     def _end(self) -> None:
-        self._skip_ws()
-        if self.pos != len(self.src):
-            self._fail("unexpected trailing input")
+        if self.tok.lastindex:
+            raise self._error("unexpected trailing input")
 
     def parse(self) -> GradedVirtual:
         combo = self.expression()

@@ -101,6 +101,14 @@ class Multisegment(Keyed):
 (_set_segments,) = slot_setters(Multisegment)
 
 
+def _single(seg: Segment) -> Multisegment:
+    """``Multisegment.of(seg)`` for one nonempty segment: nothing to drop or sort."""
+    m = Multisegment.__new__(Multisegment)
+    _set_segments(m, (seg,))
+    set_key(m, seg._key)
+    return m
+
+
 def degree(m: Multisegment) -> int:
     """Sum of member degrees."""
     return sum(s.degree for s in m.segments)

@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strata_kit
 
-from strata_kit.cli import _SEGMENT, ExpressionSyntaxError, _Parser, parse_expression, run
+from strata_kit.cli import _TOKEN, ExpressionSyntaxError, _Parser, parse_expression, run
 from strata_kit.kgroup import DerivativeExpr, ProductExpr, SumExpr, ZClass
 
+from char_parser import CharParser
 from conftest import mseg
 
 MSEG_01 = '{"segments":[{"line":"r","dim":1,"period":null,"a":0,"b":1}]}'
@@ -47,6 +48,35 @@ class TestParseExpression:
 
     def test_whitespace_insensitive(self):
         assert parse_expression(" Z[0,1] * Z[0,0] ") == parse_expression("Z[0,1]*Z[0,0]")
+
+    def test_whitespace_between_every_pair_of_tokens(self):
+        """Space, tab and newline may stand between any two tokens, inside
+        segments, derivatives and multisegment braces too."""
+        tokens = [
+            "D", "^", "2", "(", "Z", "[", "0", ",", "1", ";", "s", "]", "*",
+            "Z", "{", "[", "0", ",", "0", "]", ",", "[", "1", ",", "1", "]", "}", ")",
+            "+", "(", "Z", "[", "-1", ",", "0", "]", "*", "Z", "{", "}", ")",
+        ]
+        s01, z00 = ZClass(mseg((0, 1), line_id="s")), ZClass(mseg((0, 0), (1, 1)))
+        expected = SumExpr((
+            DerivativeExpr(2, ProductExpr((s01, z00))),
+            ZClass(mseg((-1, 0))),
+        ))
+        for space in (" ", "\t", "\n", " \t\n "):
+            text = space.join(tokens)
+            assert parse_expression(text) == expected
+            assert _Parser(f"{text} ={space}{text}").identity() == (expected, expected)
+
+    def test_leading_zeros_and_negative_zero(self):
+        assert parse_expression("D^01(Z[0,1])") == parse_expression("D^1(Z[0,1])")
+        assert parse_expression("Z[-0,0]") == parse_expression("Z[0,0]")
+
+    def test_fault_on_a_later_line_has_that_lines_column(self):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            _Parser("Z[0,0] =\n\t Z [ 1 , x ]").identity()
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            "syntax error at line 2, column 11: expected an integer", 2, 11,
+        )
 
     def test_error_position(self):
         with pytest.raises(ExpressionSyntaxError) as exc:
@@ -181,6 +211,21 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "kgroup-check", identity)
         assert (code, out) == (2, "")
         assert err == f"error: syntax error at line 1, column {column}: expected an integer\n"
+
+    @pytest.mark.parametrize(
+        "identity,column,segment",
+        [
+            ("Z[1,0] = Z[0,0]", 2, "[1,0]"),
+            ("Z [ 2 , 1 ] = Z[0,0]", 3, "[2,1]"),
+            ("Z[0,0] = Z{[0,0], [3,1]}", 19, "[3,1]"),
+        ],
+        ids=["plain", "spaced", "in-braces"],
+    )
+    def test_reversed_segment_names_its_bracket(self, capsys, identity, column, segment):
+        assert invoke(capsys, "kgroup-check", identity) == (
+            2, "", f"error: syntax error at line 1, column {column}: "
+            f"segment needs b >= a, got {segment}\n",
+        )
 
     def test_decimal_digits_of_any_script(self, capsys):
         assert invoke(capsys, "kgroup-check", "Z[٣,٤] = Z[3,4;r]") == (0, "verified\n", "")
@@ -549,7 +594,15 @@ def _read_segment(read, text):
     """(segment, end position) or (message, line, column) of one way to read."""
     parser = _Parser(text)
     try:
-        return read(parser), parser.pos
+        return read(parser), parser.tok.pos
+    except ExpressionSyntaxError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _read_segment_chars(text):
+    parser = CharParser(text)
+    try:
+        return parser._segment(), parser.pos
     except ExpressionSyntaxError as exc:
         return str(exc), exc.line, exc.column
 
@@ -557,13 +610,17 @@ def _read_segment(read, text):
 @settings(deadline=None)
 @given(_segment_text_st)
 def test_segment_pattern_agrees_with_characters(text):
-    """One match and the character-level reading give the same segment and
-    end, or fail with the same message at the same line and column; and
-    every segment the characters read is one match."""
-    chars = _read_segment(_Parser._segment_chars, text)
-    assert _read_segment(_Parser._segment, text) == chars
-    if len(chars) == 2:
-        assert _SEGMENT.match(text) is not None
+    """The one-match segment token and the token-by-token reading from its
+    '[' give the same segment and end, or fail with the same message at the
+    same line and column, and so does the character-level oracle; every
+    segment they read is one match."""
+    one = _read_segment(_Parser._segment, text)
+    assert one == _read_segment_chars(text)
+    start = len(text) - len(text.lstrip())
+    if text.startswith("[", start):
+        assert _read_segment(lambda p: p._segment_tokens(start), text) == one
+    if len(one) == 2:
+        assert _TOKEN.match(text).lastgroup == "seg"
 
 
 # Identities from the grammar, with integers that may be empty, signs
@@ -610,3 +667,22 @@ def test_kgroup_check_fuzz_never_raises(capsys, identity):
     code, _, err = invoke(capsys, "kgroup-check", identity)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def _parsed(parser, read):
+    """The printed sides a parser reads, or its (message, line, column)."""
+    try:
+        sides = parser.identity() if read == "identity" else (parser.parse(),)
+    except ExpressionSyntaxError as exc:
+        return str(exc), exc.line, exc.column
+    return sides, [str(side) for side in sides]
+
+
+@settings(deadline=None)
+@given(_identity_text_st, _expression_st)
+def test_parser_agrees_with_character_oracle(identity, expression):
+    """The token parser gives the character-level oracle's element, or its
+    syntax error at the same line and column, for identities and for
+    single expressions."""
+    for text, read in ((identity, "identity"), (expression, "parse")):
+        assert _parsed(_Parser(text), read) == _parsed(CharParser(text), read)
