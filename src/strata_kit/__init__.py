@@ -26,12 +26,8 @@ from .segments import (
     Relation,
     Segment,
     SegmentLike,
-    bottom_minus,
-    equivalent,
-    inertially_equivalent,
     linked,
     relate,
-    segment_invariants,
     top_minus,
     union_and_intersection,
 )
@@ -39,7 +35,7 @@ from .multisegments import (
     InertialClass,
     Multisegment,
     Poset,
-    canonical_order,
+    degenerates_to,
     degree,
     downset,
     elementary_reductions,
@@ -56,7 +52,7 @@ from .kgroup import (
     Verdict,
     ZClass,
     check_identity,
-    highest_derivative_of_product,
+    expand,
     lemcomp_derivative,
     resolve_pair,
     total_derivative,

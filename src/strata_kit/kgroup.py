@@ -4,12 +4,15 @@ Classes of irreducible representations are written Z(m) for a multisegment
 m; the empty multisegment denotes the one-dimensional class of the trivial
 group.  A term is a commutative product of such classes; a graded virtual
 element assigns an integer combination of terms to each derivative order.
-Derivatives follow the Leibniz rule, with each class contributing its
-known graded derivative: a single segment has exactly one positive-degree
-derivative Z(segment)^(n) = Z(segment minus top twist), the
-singleton-over-segment shape Z({[c,c],[a,c-1]}) has the two extra degrees
-established by the composition and juxtaposition lemmas below, and a
-pairwise-unlinked multisegment is the product of its segments' classes.
+
+One table, :func:`expand`, writes each class in the segment classes Z(Δ),
+in which the ring on infinite-period lines is polynomial (Zelevinsky): a
+class is the product of its linked components, and a ladder component is
+Tadić's determinant (Lapid-Mínguez).  Any other component, every class on
+a finite-period line and every unknown derivative stays one opaque atom.
+The derivative is the ring homomorphism with D(Z(Δ)) = Z(Δ) + Z(Δ⁻) in
+degree dim Δ, applied to that expansion, and :func:`check_identity`
+decides on the expanded difference.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .errors import ShapeError, WraparoundError
-from .multisegments import Multisegment, lambda_of
-from .partitions import Partition
+from .multisegments import Multisegment, _single, degenerates_to
 from .segments import Segment, linked, relate, top_minus
 from .values import Keyed, Value, set_key
 
@@ -28,7 +30,8 @@ from .values import Keyed, Value, set_key
 # canonically sorted tuple of atoms; the empty tuple is the trivial class.
 Term = tuple
 
-MAX_REWRITE_STEPS = 10000
+# A ladder of more segments stays opaque: its determinant has k! terms.
+MAX_LADDER = 6
 
 
 class OpaqueDerivative(Keyed):
@@ -175,50 +178,86 @@ def _leibniz(tables, degree: Optional[int] = None) -> dict[int, dict[Term, int]]
     return result
 
 
-def _unlinked(pairs) -> bool:
-    """No pair of segments is linked: their product is irreducible (Zelevinsky)."""
-    return not any(linked(x, y) for x, y in pairs)
+def _components(segs) -> list[list[Segment]]:
+    """Segments of infinite-period lines grouped into linked components."""
+    comps: list[list[Segment]] = []
+    for s in segs:
+        merged, rest = [s], []
+        for comp in comps:
+            if any(linked(s, t) for t in comp):
+                merged += comp
+            else:
+                rest.append(comp)
+        comps = rest + [merged]
+    return comps
 
 
-def _is_lemcomp(top: Segment, lower: Segment) -> bool:
-    """The composition-lemma shape {[c,c], [a,c-1]} on one infinite-period line."""
-    return (
-        top.length == 1
-        and top.infinite_period
-        and top.same_line(lower)
-        and lower.b == top.a - 1
-    )
+def _ladder(segs: tuple) -> dict[Term, int]:
+    """Tadić's determinant sum_w sgn(w) prod_i Z([a_w(i), b_i]) of a ladder,
+    whose segments are stored with ends and starts strictly decreasing;
+    Z([a, a-1]) is 1, and a product with a segment [a, b], b < a-1, is 0."""
+    line = segs[0].cuspidal
+    acc: dict[Term, int] = {}
+    for w in itertools.permutations(range(len(segs))):
+        atoms = []
+        for i, j in enumerate(w):
+            a, b = segs[j].a, segs[i].b
+            if b < a - 1:
+                break
+            if b >= a:
+                atoms.append(_single(Segment(line, a, b)))
+        else:
+            inversions = sum(x > y for x, y in itertools.combinations(w, 2))
+            _add_term(acc, tuple(sorted(atoms, key=_atom_key)), (-1) ** inversions)
+    return acc
 
 
-def _composition(top: Segment, lower: Segment) -> tuple[Multisegment, Multisegment]:
-    """Degree-k and degree-2k derivatives of Z({top, lower}) in the lemcomp shape."""
-    shorter = top_minus(lower)
-    return Multisegment.of(top, shorter), Multisegment.of(shorter)
+def expand(atom) -> dict[Term, int]:
+    """The class of an atom as a combination of products of segment classes.
+
+    On infinite-period lines a class is the product of its linked
+    components (Zelevinsky).  A component that is a ladder of at most
+    MAX_LADDER segments expands by :func:`_ladder`, a single segment among
+    them; any other stays one opaque atom.  The segments on finite-period
+    lines form one opaque class, and an unknown derivative stays as it is.
+    """
+    if atom.__class__ is OpaqueDerivative or len(atom.segments) == 1:
+        return {(atom,): 1}
+    factors = []
+    for comp in _components(s for s in atom.segments if s.infinite_period):
+        m = Multisegment(comp)
+        segs = m.segments
+        ladder = len(segs) <= MAX_LADDER and all(
+            s.a > t.a and s.b > t.b for s, t in zip(segs, segs[1:])
+        )
+        factors.append(_ladder(segs) if ladder else {(m,): 1})
+    finite = [s for s in atom.segments if not s.infinite_period]
+    if finite:
+        factors.append({(Multisegment(finite),): 1})
+    return _multiply({}, factors)
 
 
-def _juxtaposed(d1: Segment, d2: Segment) -> list[Multisegment]:
-    """Constituents of Z(d1) x Z(d2) for d2 juxtaposed and preceding d1."""
-    return [Multisegment.of(d1, d2), Multisegment.of(Segment(d1.cuspidal, d2.a, d1.b))]
+def _is_segment(atom) -> bool:
+    return atom.__class__ is Multisegment and len(atom.segments) == 1
 
 
 def atom_derivative(atom: Multisegment) -> Optional[dict[int, dict[Term, int]]]:
     """Complete graded derivative of an irreducible class, or None if unknown.
 
-    Known shapes: single segments, the singleton-over-segment shape handled
-    by the composition lemma, and pairwise-unlinked multisegments (the
-    trivial class among them), whose class is the product of their segments.
+    A segment has layers 0 and its dim; any other class is the Leibniz
+    product over its expansion, unknown when the expansion holds an opaque
+    atom.
     """
     segs = atom.segments
     if len(segs) == 1:
         d = segs[0]
-        return {0: {(atom,): 1}, d.dim: _class(Multisegment.of(top_minus(d)))}
-    if len(segs) == 2 and _is_lemcomp(*segs):
-        k = segs[0].dim
-        mid, bottom = _composition(*segs)
-        return {0: {(atom,): 1}, k: {(mid,): 1}, 2 * k: _class(bottom)}
-    if atom.infinite_period and _unlinked(itertools.combinations(segs, 2)):
-        return _leibniz(atom_derivative(Multisegment.of(s)) for s in segs)
-    return None
+        return {0: {(atom,): 1}, d.dim: {(_single(top_minus(d)),) if d.length > 1 else (): 1}}
+    acc: dict[int, dict[Term, int]] = {}
+    for term, coeff in expand(atom).items():
+        if not all(map(_is_segment, term)):
+            return None
+        _add_layers(acc, _leibniz(map(atom_derivative, term)), coeff)
+    return acc
 
 
 def term_derivative(term: Term, degree: Optional[int] = None) -> Optional[GradedVirtual]:
@@ -264,11 +303,6 @@ def total_derivative(x: GradedVirtual) -> GradedVirtual:
     return _wrap(acc)
 
 
-def highest_derivative_of_product(m: Multisegment) -> tuple[Partition, Multisegment]:
-    """(highest derivative partition, the multisegment with every top twist removed)."""
-    return lambda_of(m), Multisegment(top_minus(d) for d in m.segments)
-
-
 def resolve_pair(d1: Segment, d2: Segment) -> list[Multisegment]:
     """Constituents [Z({d1,d2}), Z({d2 union d1})] of Z(d1) x Z(d2).
 
@@ -278,16 +312,21 @@ def resolve_pair(d1: Segment, d2: Segment) -> list[Multisegment]:
     rel = relate(d2, d1)
     if not (rel.precedes and rel.juxtaposed):
         raise ShapeError("not a juxtaposed preceding pair")
-    return _juxtaposed(d1, d2)
+    return [Multisegment.of(d1, d2), Multisegment.of(Segment(d1.cuspidal, d2.a, d1.b))]
 
 
 def lemcomp_derivative(rho_top: Segment, delta: Segment) -> Multisegment:
     """Degree-k derivative of Z({[c,c], delta}): replace delta by its top truncation."""
     if rho_top.is_empty or delta.is_empty:
         raise ShapeError("expected nonempty segments")
-    if not _is_lemcomp(rho_top, delta):
+    if not (
+        rho_top.length == 1
+        and rho_top.infinite_period
+        and rho_top.same_line(delta)
+        and delta.b == rho_top.a - 1
+    ):
         raise ShapeError("expected a singleton just above the segment's end")
-    return _composition(rho_top, delta)[0]
+    return Multisegment.of(rho_top, top_minus(delta))
 
 
 def weirdcase_constituents(alpha: int, delta: Segment) -> list[Multisegment]:
@@ -342,66 +381,6 @@ def DerivativeExpr(degree: int, inner: GradedVirtual) -> GradedVirtual:
     return _wrap({0: _derivative(degree, _degree_zero(inner))})
 
 
-def _try_rewrite_pair(a1: Multisegment, a2: Multisegment) -> Optional[list[Multisegment]]:
-    """One rewriting step on a product of two classes, or None.
-
-    Rules: merge classes with no linked pair across them into one; split a
-    juxtaposed pair of single segments into its two constituents; split a
-    singleton times a singleton-over-segment class into its two
-    constituents.  Each returns the classes whose sum replaces the product.
-    No rule applies on a finite-period line, where linking is undefined.
-    """
-    if not (a1.infinite_period and a2.infinite_period):
-        return None
-    if _unlinked(itertools.product(a1.segments, a2.segments)):
-        return [a1.union(a2)]
-    if len(a1) == 1 and len(a2) == 1:
-        s1, s2 = a1.segments[0], a2.segments[0]
-        rel = relate(s2, s1)
-        if rel.juxtaposed:
-            return _juxtaposed(s1, s2) if rel.precedes else _juxtaposed(s2, s1)
-    for single, other in ((a1, a2), (a2, a1)):
-        if (
-            len(single) == 1
-            and len(other) == 2
-            and _is_lemcomp(*other.segments)
-            # the singleton sits just above the shape's singleton top
-            and _is_lemcomp(single.segments[0], other.segments[0])
-        ):
-            top, lower = other.segments
-            return weirdcase_constituents(top.a, lower)
-    return None
-
-
-def normalize(combo: dict[Term, int]) -> dict[Term, int]:
-    """Exhaustively apply the registered rewriting rules to every product term."""
-    current = dict(combo)
-    for _ in range(MAX_REWRITE_STEPS):
-        changed = False
-        nxt: dict[Term, int] = {}
-        for term, coeff in current.items():
-            rewritten = None
-            if len(term) > 1 and all(isinstance(a, Multisegment) for a in term):
-                # Pairs are tried in the atoms' string order: the normal form
-                # reached depends on which rule fires first.
-                atoms = tuple(sorted(term, key=str))
-                for i, j in itertools.combinations(range(len(atoms)), 2):
-                    rewritten = _try_rewrite_pair(atoms[i], atoms[j])
-                    if rewritten is not None:
-                        break
-            if rewritten is None:
-                _add_term(nxt, term, coeff)
-                continue
-            changed = True
-            rest = atoms[:i] + atoms[i + 1 : j] + atoms[j + 1 :]
-            for atom in rewritten:
-                _add_term(nxt, _sorted_term(rest + (atom,)), coeff)
-        current = nxt
-        if not changed:
-            return current
-    raise ShapeError("rewriting did not terminate within the step budget")
-
-
 class Verdict(Value):
     """Outcome of an identity check: verified, unverifiable, or refuted."""
 
@@ -424,29 +403,70 @@ class Verdict(Value):
         return f"refuted at degree {self.witness_degree}"
 
 
-def check_identity(lhs: GradedVirtual, rhs: GradedVirtual) -> Verdict:
-    """Compare two elements after exhaustive rewriting; never guesses.
+def _undecided(combo: dict[Term, int]) -> Optional[str]:
+    """None when a nonzero expanded combination has a coefficient that no
+    opaque term can cancel; else its smallest undecided term, printed.
 
-    The result is "verified" when the normal forms agree in every degree,
-    "refuted" at the lowest disagreeing degree, and "unverifiable" when the
-    disagreement involves a product no registered rule decomposes.
+    Each opaque class Z(c) is the standard product of c plus products of
+    multisegments strictly below c (Zelevinsky), so the coefficient of a
+    standard product is decided unless it lies strictly below the lead of an
+    opaque term with the same finite-period class.  An unknown derivative,
+    or a product of two finite-period classes, leaves the combination
+    undecided.
+    """
+    stuck, opaque = [], []
+    for term in combo:
+        fin = [a for a in term if a.__class__ is OpaqueDerivative or not a.infinite_period]
+        if len(fin) > 1 or fin and fin[0].__class__ is OpaqueDerivative:
+            stuck.append(term)
+        elif any(len(a.segments) > 1 for a in term if a.infinite_period):
+            opaque.append(term)
+    if stuck:
+        return min(map(_term_str, stuck))
+    if not opaque:
+        return None
+
+    def lead(term):
+        """The term's finite-period class and the multisegment of its standard product."""
+        fin = tuple(a for a in term if not a.infinite_period)
+        return fin, Multisegment([s for a in term if a.infinite_period for s in a.segments])
+
+    coeffs: dict[tuple, int] = {}
+    for term, coeff in combo.items():
+        key = lead(term)
+        coeffs[key] = coeffs.get(key, 0) + coeff
+    tops = [lead(term) for term in opaque]
+    for (fin, m), coeff in coeffs.items():
+        if coeff and not any(f == fin and top != m and degenerates_to(top, m) for f, top in tops):
+            return None
+    return min(map(_term_str, opaque))
+
+
+def check_identity(lhs: GradedVirtual, rhs: GradedVirtual) -> Verdict:
+    """Decide an identity on the expanded difference of its sides; never guesses.
+
+    Every term of the difference is expanded by :func:`expand`, a term of
+    segments alone as it stands.  The result is "verified" when the
+    expansion is zero in every degree, with opaque atoms as free symbols;
+    "refuted" at the lowest degree where a coefficient is nonzero and no
+    opaque term can cancel it; and otherwise "unverifiable", naming the
+    smallest undecided term at the lowest nonzero degree.
     """
     diff = _add_layers({g: dict(combo) for g, combo in lhs.layers.items()}, rhs.layers, -1)
-    # Rewriting is linear, so the difference is normalized once, after the
-    # terms the two sides share have cancelled.
-    diff = _wrap({g: normalize(combo) for g, combo in diff.items() if combo})
-    if not diff.layers:
-        return Verdict("verified")
-    for g in diff.degrees():
-        stuck = [
-            _term_str(term)
-            for term in diff.layers[g]
-            if len(term) > 1 or any(isinstance(a, OpaqueDerivative) for a in term)
-        ]
-        if stuck:
-            # Name the smallest, so the reason does not depend on term order.
-            return Verdict(
-                "unverifiable",
-                reason=f"undecomposed product remains at degree {g}: {min(stuck)}",
-            )
-    return Verdict("refuted", witness_degree=min(diff.layers))
+    reason = None
+    for g in sorted(diff):
+        combo: dict[Term, int] = {}
+        for term, coeff in diff[g].items():
+            if all(map(_is_segment, term)):
+                _add_term(combo, term, coeff)
+                continue
+            for t2, c2 in _multiply({}, map(expand, term)).items():
+                _add_term(combo, t2, coeff * c2)
+        if not combo:
+            continue
+        undecided = _undecided(combo)
+        if undecided is None:
+            return Verdict("refuted", witness_degree=g)
+        if reason is None:
+            reason = f"undecomposed product remains at degree {g}: {undecided}"
+    return Verdict("verified") if reason is None else Verdict("unverifiable", reason=reason)

@@ -1,7 +1,7 @@
 """Multisegments: multisets of segments and their combinatorics.
 
 Covers the degree and highest-derivative partition invariants, the
-canonical (does-not-precede) ordering, the elementary-operation poset,
+elementary-operation poset and the degeneration order it generates,
 the Moeglin-Waldspurger involution, and inertial classes.
 """
 
@@ -128,19 +128,6 @@ def lambda_of(m: Multisegment) -> Partition:
     return Partition(tuple(reversed(parts)))
 
 
-def canonical_order(m: Multisegment) -> list[Segment]:
-    """Segments ordered so no segment precedes a later one.
-
-    Within a line the order is by end twist descending, then start twist
-    ascending; distinct lines are separated by the line-id tie-break.  This
-    is the order a multisegment stores its segments in.  Requires
-    infinite-period lines, since precedence is a linking notion.
-    """
-    if not m.infinite_period:
-        raise WraparoundError("canonical order undefined with wraparound")
-    return list(m.segments)
-
-
 def elementary_reductions(m: Multisegment) -> set[Multisegment]:
     """All one-step degradations: replace a linked pair by its union and intersection."""
     if not m.infinite_period:
@@ -205,6 +192,32 @@ def downset(m: Multisegment, node_bound: int = DEFAULT_NODE_BOUND) -> Poset:
     index = {n: i for i, n in enumerate(nodes)}
     edges = tuple(sorted((index[p], index[c]) for p, c in edge_set))
     return Poset(nodes, edges)
+
+
+def degenerates_to(m: Multisegment, m2: Multisegment) -> bool:
+    """Whether m2 <= m in the degeneration order: m2 is reached from m by
+    elementary reductions, m itself included.
+
+    This is the rank criterion (Zelevinsky; Abeasis-Del Fra): every interval
+    [i, j] of a line lies in at least as many segments of m2 as of m, and
+    the two have the same support.  The count of m only rises at a start of
+    m and falls past an end of m, so those intervals are enough; each point
+    then lies in at least as many segments of m2, so equal degrees make the
+    supports equal.
+    """
+    if not (m.infinite_period and m2.infinite_period):
+        raise WraparoundError("degeneration order undefined with wraparound")
+
+    def containing(segs, s: Segment, t: Segment) -> int:
+        """How many of segs contain [s.a, t.b] on the line of s."""
+        return sum(u.cuspidal == s.cuspidal and u.a <= s.a and t.b <= u.b for u in segs)
+
+    return degree(m) == degree(m2) and all(
+        containing(m2.segments, s, t) >= containing(m.segments, s, t)
+        for s in m.segments
+        for t in m.segments
+        if s.cuspidal == t.cuspidal and s.a <= t.b
+    )
 
 
 def _dual_one_line(segs: list[Segment]) -> list[Segment]:

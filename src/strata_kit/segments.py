@@ -65,15 +65,6 @@ class CuspidalLabel(Keyed):
             expect(data.get("period"), (int, type(None)), f"{where}.period"),
         )
 
-    def isomorphic(self, other: "CuspidalLabel") -> bool:
-        """Same line and same reduced twist."""
-        return (
-            self.line_id == other.line_id
-            and self.dim == other.dim
-            and self.period == other.period
-            and self.twist == other.twist
-        )
-
 
 _set_line_id, _set_dim, _set_period, _set_twist = slot_setters(CuspidalLabel)
 
@@ -185,33 +176,12 @@ _set_cuspidal, _set_a, _set_b = slot_setters(Segment)
 SegmentLike = Union[Segment, EmptySegment]
 
 
-def segment_invariants(seg: SegmentLike) -> tuple[int, int, int]:
-    """(length, cuspidal dim, degree); (0, 0, 0) for the empty segment."""
-    if seg.is_empty:
-        return (0, 0, 0)
-    assert isinstance(seg, Segment)
-    return (seg.length, seg.dim, seg.degree)
-
-
 def support(seg: Segment) -> Counter:
     """Multiset of (line_id, reduced twist) pairs covered by the segment."""
     if seg.is_empty:
         raise ShapeError("support of the empty segment is undefined")
     c = seg.cuspidal
     return Counter((c.line_id, c.reduce(t)) for t in range(seg.a, seg.b + 1))
-
-
-def equivalent(s1: SegmentLike, s2: SegmentLike) -> bool:
-    """Equal lengths and isomorphic starting cuspidals, i.e. structural equality."""
-    return s1 == s2
-
-
-def inertially_equivalent(s1: SegmentLike, s2: SegmentLike) -> bool:
-    """Equal lengths and same cuspidal line, any twist."""
-    if s1.is_empty or s2.is_empty:
-        return s1.is_empty and s2.is_empty
-    assert isinstance(s1, Segment) and isinstance(s2, Segment)
-    return s1.length == s2.length and s1.cuspidal == s2.cuspidal
 
 
 class Relation(Value):
@@ -301,12 +271,3 @@ def top_minus(seg: Segment, beta: int = 1) -> SegmentLike:
     if beta > seg.length - 1:
         return EMPTY_SEGMENT
     return Segment(seg.cuspidal, seg.a, seg.b - beta)
-
-
-def bottom_minus(seg: Segment) -> SegmentLike:
-    """Drop the lowest twist: [a, b] -> [a + 1, b], empty for a singleton."""
-    if seg.is_empty:
-        raise ShapeError("cannot truncate the empty segment")
-    if seg.length == 1:
-        return EMPTY_SEGMENT
-    return Segment(seg.cuspidal, seg.a + 1, seg.b)

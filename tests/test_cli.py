@@ -146,7 +146,7 @@ class TestVerbs:
         assert (code, out) == (0, "refuted at degree 0\n")
 
     def test_kgroup_check_reason_independent_of_term_order(self, capsys):
-        terms = ("D^1(Z{[0,1],[1,2]})", "Z[0,2]*Z[1,3]")
+        terms = ("D^1(Z{[0,2],[1,1],[2,3]})", "Z[0,2]*Z[1,3]")
         outs = [
             invoke(capsys, "kgroup-check", f"{first} + {second} = Z[0,0]")
             for first, second in (terms, terms[::-1])
@@ -154,7 +154,7 @@ class TestVerbs:
         assert outs[0] == outs[1] == (
             0,
             "unverifiable: undecomposed product remains at degree 0: "
-            "?D^1(Z{[1,2]_r,[0,1]_r})\n",
+            "?D^1(Z{[2,3]_r,[0,2]_r,[1,1]_r})\n",
             "",
         )
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -17,11 +18,11 @@ from strata_kit import (
     ZClass,
     check_identity,
     dominance_leq,
-    highest_derivative_of_product,
     lambda_of,
     lemcomp_derivative,
     relate,
     resolve_pair,
+    top_minus,
     total_derivative,
     weirdcase_constituents,
 )
@@ -33,6 +34,7 @@ from strata_kit.kgroup import (
     _leibniz,
     _sorted_term,
     atom_derivative,
+    expand,
 )
 
 from conftest import mseg, seg
@@ -69,7 +71,7 @@ class TestTotalDerivative:
 
     def test_unknown_class_raises(self):
         with pytest.raises(ShapeError, match="no known derivative"):
-            total_derivative(ZClass(mseg((0, 1), (1, 2))))
+            total_derivative(ZClass(mseg((0, 2), (1, 1), (2, 3))))
         with pytest.raises(ShapeError, match="degree-0 element"):
             total_derivative(total_derivative(product(seg(0, 1))))
 
@@ -97,28 +99,30 @@ class TestTotalDerivative:
         assert Partition(tuple(parts)) == lambda_of(m)
 
 
+def top_layer(m):
+    """The top degree of D(Z(m)) and its layer there."""
+    gv = total_derivative(ZClass(m))
+    return gv.top_degree(), GradedVirtual({0: gv.layer(gv.top_degree())})
+
+
 class TestHighestDerivative:
+    """The top layer of D(Z(m)) is Z(m minus every top twist), in degree lambda_1."""
+
     def test_examples(self):
-        assert highest_derivative_of_product(mseg((0, 1), (0, 0))) == (
-            Partition.of(2, 1),
-            mseg((0, 0)),
-        )
-        assert highest_derivative_of_product(mseg((0, 0))) == (
-            Partition.of(1),
-            Multisegment(),
-        )
+        assert top_layer(mseg((0, 1), (0, 0))) == (2, ZClass(mseg((0, 0))))
+        assert top_layer(mseg((0, 0))) == (1, ZClass(Multisegment()))
         m = Multisegment.of(seg(0, 2, dim=2))
-        assert highest_derivative_of_product(m) == (
-            Partition.of(2, 2, 2),
-            Multisegment.of(seg(0, 1, dim=2)),
-        )
+        assert top_layer(m) == (2, ZClass(Multisegment.of(seg(0, 1, dim=2))))
 
     def test_iteration_exhausts(self):
         m = mseg((0, 2), (1, 1), (3, 4))
-        lam = lambda_of(m)
-        for _ in range(lam.length):
-            _, m = highest_derivative_of_product(m)
-        assert m == Multisegment()
+        parts = []
+        while m != Multisegment():
+            top, layer = top_layer(m)
+            m = Multisegment(top_minus(s) for s in m.segments)
+            assert check_identity(layer, ZClass(m)).verified
+            parts.append(top)
+        assert Partition(tuple(parts)) == lambda_of(mseg((0, 2), (1, 1), (3, 4)))
 
 
 class TestResolvePair:
@@ -207,10 +211,9 @@ class TestCheckIdentity:
         assert str(v) == "refuted at degree 0"
 
     def test_unverifiable_product(self):
-        v = check_identity(
-            parse_expression("Z[0,2]*Z[1,3]"), parse_expression("Z{[0,2],[1,3]}")
-        )
-        assert v.status == "unverifiable"
+        """A linked pair is a ladder: its product has the second constituent."""
+        assert self.check("Z[0,2]*Z[1,3]", "Z{[0,2],[1,3]}") == "refuted at degree 0"
+        assert self.check("Z[0,2]*Z[1,3]", "Z{[0,2],[1,3]} + Z{[0,3],[1,2]}") == "verified"
 
     def test_unverifiable_finite_period(self):
         c = CuspidalLabel("r", period=3)
@@ -223,10 +226,12 @@ class TestCheckIdentity:
 
     def test_unverifiable_unknown_derivative(self):
         v = check_identity(
-            parse_expression("D^1(Z{[0,1],[1,2]})"), parse_expression("Z{[0,1],[1,1]}")
+            parse_expression("D^1(Z{[0,2],[1,1],[2,3]})"), parse_expression("Z{[0,1],[1,1]}")
         )
         assert v.status == "unverifiable"
-        assert v.reason == "undecomposed product remains at degree 0: ?D^1(Z{[1,2]_r,[0,1]_r})"
+        assert v.reason == (
+            "undecomposed product remains at degree 0: ?D^1(Z{[2,3]_r,[0,2]_r,[1,1]_r})"
+        )
 
     def test_negative_derivative_order(self):
         with pytest.raises(ShapeError, match="derivative order"):
@@ -359,17 +364,26 @@ def test_derivative_entry_points_agree(segs, pairs):
     """D^g(x) is layer g of total_derivative(x), the zero element above its
     top degree, and the parser builds x itself.
 
-    Layer 0 of total_derivative writes an unlinked atom as the product of
-    its segments, so layer 0 is compared with x written that way.
+    Layer 0 of total_derivative writes each atom in segment classes: an
+    unlinked atom as the product of its segments, and the composition shape
+    {[c,c],[a,c-1]} as its determinant Z[c,c]*Z[a,c-1] - Z[a,c], so layer 0 is
+    compared with x written that way.
     """
     def atom(p):
         return ZClass(Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in p)))
+
+    def determinant(p):
+        (line, c, _), (_, a, _) = p
+        return SumExpr([
+            ProductExpr([atom([q]) for q in p]),
+            GradedVirtual({0: {(Multisegment.of(seg(a, c, line_id=line)),): -1}}),
+        ])
 
     x = ProductExpr([atom([t]) for t in segs] + [atom(p) for _, p in pairs])
     split = ProductExpr(
         [atom([t]) for t in segs]
         + [atom([q]) for unlinked, p in pairs if unlinked for q in p]
-        + [atom(p) for unlinked, p in pairs if not unlinked]
+        + [determinant(p) for unlinked, p in pairs if not unlinked]
     )
     texts = ["Z" + _seg_text(*t) for t in segs]
     texts += ["Z{%s}" % ",".join(_seg_text(*t) for t in p) for _, p in pairs]
@@ -526,9 +540,9 @@ _node_st = st.recursive(
 
 @settings(deadline=None)
 @example(("D^3(Z[0,0]) + D^2(Z[1,1]*Z{})", GradedVirtual(), True))
-@example(("((Z[0,0;s]))*D^1(Z{[0,1],[1,2]})", ProductExpr([
+@example(("((Z[0,0;s]))*D^1(Z{[0,2],[1,1],[2,3]})", ProductExpr([
     ZClass(mseg((0, 0), line_id="s")),
-    GradedVirtual({0: {(OpaqueDerivative("Z{[1,2]_r,[0,1]_r}", 1),): 1}}),
+    GradedVirtual({0: {(OpaqueDerivative("Z{[2,3]_r,[0,2]_r,[1,1]_r}", 1),): 1}}),
 ]), False))
 @given(_node_st)
 def test_parser_builds_what_the_constructors_build(node):
@@ -537,3 +551,167 @@ def test_parser_builds_what_the_constructors_build(node):
     assert parsed == element
     assert str(parsed) == str(element)
     assert _Parser(f"Z{{}} = {text}").identity() == (ZClass(Multisegment()), element)
+
+
+# --------------------------------------------------------------------------
+# The expansion table and the verdicts decided on it
+# --------------------------------------------------------------------------
+
+
+class TestExpand:
+    def test_segments_and_unlinked_classes(self):
+        m = mseg((0, 1))
+        assert expand(m) == {(m,): 1}
+        assert expand(mseg((0, 0), (3, 4))) == {term_of((0, 0), (3, 4)): 1}
+        assert expand(mseg((0, 2), (1, 1))) == {term_of((0, 2), (1, 1)): 1}
+
+    def test_ladders_expand_by_the_determinant(self):
+        assert expand(mseg((1, 1), (0, 0))) == {term_of((1, 1), (0, 0)): 1, term_of((0, 1)): -1}
+        assert expand(mseg((1, 3), (0, 2))) == {
+            term_of((1, 3), (0, 2)): 1, term_of((0, 3), (1, 2)): -1,
+        }
+        assert expand(mseg((2, 2), (1, 1), (0, 0))) == {
+            term_of((2, 2), (1, 1), (0, 0)): 1,
+            term_of((2, 2), (0, 1)): -1,
+            term_of((1, 2), (0, 0)): -1,
+            term_of((0, 2)): 1,
+        }
+        # Each linked component expands on its own.
+        assert expand(mseg((1, 1), (0, 0), (5, 5))) == {
+            term_of((1, 1), (0, 0), (5, 5)): 1, term_of((0, 1), (5, 5)): -1,
+        }
+
+    def test_other_atoms_stay_opaque(self):
+        tangle = mseg((0, 2), (1, 1), (2, 3))
+        finite = mseg((0, 0), (1, 1), period=3)
+        long = Multisegment.of(*(seg(i, i + 1) for i in range(7)))
+        placeholder = OpaqueDerivative("Z{[0,0]_r}", 1)
+        for atom in (tangle, finite, long, placeholder):
+            assert expand(atom) == {(atom,): 1}
+        assert expand(tangle.union(mseg((9, 9)))) == {term_of((9, 9)) + (tangle,): 1}
+        # The finite-period segments of a class form one atom.
+        mixed = finite.union(mseg((1, 1), (0, 0)))
+        assert expand(mixed) == {
+            _sorted_term(term + (finite,)): c for term, c in expand(mseg((1, 1), (0, 0))).items()
+        }
+
+    def test_long_ladder_returns_quickly(self):
+        m = Multisegment.of(*(seg(i, i + 2) for i in range(12)))
+        start = time.perf_counter()
+        verdict = check_identity(ZClass(m), product(*m.segments))
+        derivative = DerivativeExpr(1, ZClass(m))
+        assert time.perf_counter() - start < 1.0
+        assert verdict.status == "unverifiable"
+        assert derivative == GradedVirtual({0: {(OpaqueDerivative(f"Z{m}", 1),): 1}})
+
+
+@pytest.mark.parametrize("shift", range(7))
+def test_dropped_leibniz_term_is_refuted_at_every_shift(shift):
+    def z(a, b):
+        return f"Z[{a + shift},{b + shift}]"
+
+    v = check_identity(
+        parse_expression(f"D^1({z(4, 4)}*{z(8, 10)}*{z(5, 5)})"),
+        parse_expression(f"{z(5, 5)}*{z(8, 10)} + {z(4, 4)}*{z(8, 10)}"),
+    )
+    assert str(v) == "refuted at degree 0"
+
+
+def _ladders(max_len, hi):
+    """Every ladder of 1..max_len segments on one line with ends in [0, hi]."""
+    points = range(hi, -1, -1)
+    for k in range(1, max_len + 1):
+        for starts in itertools.combinations(points, k):
+            for ends in itertools.combinations(points, k):
+                if all(a <= b for a, b in zip(starts, ends)):
+                    yield Multisegment.of(*(seg(a, b) for a, b in zip(starts, ends)))
+
+
+def test_ladder_highest_derivatives_reproduce_lambda():
+    """On every ladder, the top layer of D(Z(m)) is Z(m minus its top twists),
+    and the top degrees taken in turn are the partition lambda_of(m): the
+    determinant agrees with the highest-derivative theorem."""
+    checked = 0
+    for ladder in _ladders(4, 6):
+        m, parts = ladder, []
+        while m != Multisegment():
+            top, layer = top_layer(m)
+            m = Multisegment(top_minus(s) for s in m.segments)
+            assert check_identity(layer, ZClass(m)).verified, ladder
+            parts.append(top)
+        assert Partition(tuple(parts)) == lambda_of(ladder), ladder
+        checked += 1
+    assert checked == 1204
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_public_views_agree_with_check_identity(dim):
+    """resolve_pair, lemcomp_derivative and weirdcase_constituents state
+    identities that the expansion verifies."""
+    for a, n, extra in itertools.product(range(-2, 2), range(3), range(3)):
+        c = a + n + 1
+        delta, top = seg(a, c - 1, dim=dim), seg(c, c, dim=dim)
+        d1 = seg(c, c + extra, dim=dim)
+        assert check_identity(
+            product(d1, delta), SumExpr(ZClass(m) for m in resolve_pair(d1, delta))
+        ).verified
+        shape = ZClass(Multisegment.of(top, delta))
+        assert check_identity(
+            DerivativeExpr(dim, shape), ZClass(lemcomp_derivative(top, delta))
+        ).verified
+        assert check_identity(
+            ProductExpr([product(seg(c + 1, c + 1, dim=dim)), shape]),
+            SumExpr(ZClass(m) for m in weirdcase_constituents(c, delta)),
+        ).verified
+
+
+# Segments (line, start, length - 1), each with the factor it joins on the
+# left side and on the right side of an identity, and whether it is a factor
+# of the extra right-hand term with its top twist kept or dropped.
+_regrouped_st = st.lists(
+    st.tuples(
+        st.sampled_from("rs"), st.integers(0, 4), st.integers(0, 2),
+        st.integers(0, 2), st.integers(0, 2), st.sampled_from([None, 0, 1]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+RENAMES = [{"r": "s", "s": "r"}, {"r": "t", "s": "q"}]
+
+
+@settings(deadline=None)
+@example(
+    [("r", 4, 0, 0, 0, 0), ("r", 8, 2, 1, 1, 1), ("r", 5, 0, 2, 2, 0)], 1, -1, 2, RENAMES[1]
+)
+@given(
+    _regrouped_st, st.integers(0, 3), st.sampled_from([-1, 0, 1]), st.integers(-3, 6),
+    st.sampled_from(RENAMES),
+)
+def test_status_invariant_under_shift_and_renaming(segs, g, sign, shift, names):
+    """D^g of one product of segments grouped into classes in two ways, the
+    right side plus or minus one more product, gets one status and witness
+    degree after every twist shifts by one constant and the lines are
+    renamed.  The example is D^1(Z[4,4]*Z[8,10]*Z[5,5]) = Z[5,5]*Z[8,10] +
+    Z[4,4]*Z[8,10], written as D^1 of the left side less Z[4,4]*Z[8,9]*Z[5,5]."""
+    def verdict(shift, names):
+        def segment(line, a, n, drop=0):
+            s = seg(a + shift, a + n + shift, names[line])
+            return top_minus(s) if drop else s
+
+        sides = []
+        for side in (3, 4):
+            groups: dict[int, list] = {}
+            for row in segs:
+                groups.setdefault(row[side], []).append(segment(*row[:3]))
+            sides.append(DerivativeExpr(g, ProductExpr(
+                ZClass(Multisegment.of(*group)) for group in groups.values()
+            )))
+        extra = [
+            ZClass(Multisegment.of(segment(*row[:3], drop=row[5])))
+            for row in segs if row[5] is not None
+        ]
+        coeff = GradedVirtual({0: {(): sign}})
+        v = check_identity(sides[0], SumExpr([sides[1], ProductExpr([coeff, *extra])]))
+        return v.status, v.witness_degree
+
+    assert verdict(shift, names) == verdict(0, {"r": "r", "s": "s"})

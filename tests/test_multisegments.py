@@ -15,7 +15,7 @@ from strata_kit import (
     ShapeError,
     WraparoundError,
     add,
-    canonical_order,
+    degenerates_to,
     degree,
     dominance_leq,
     downset,
@@ -191,13 +191,15 @@ class TestLambda:
 
 
 class TestCanonicalOrder:
+    """A multisegment stores its segments in the canonical order."""
+
     def test_examples(self):
-        assert canonical_order(mseg((0, 0), (1, 1))) == [seg(1, 1), seg(0, 0)]
-        assert canonical_order(mseg((0, 1), (0, 0))) == [seg(0, 1), seg(0, 0)]
+        assert mseg((0, 0), (1, 1)).segments == (seg(1, 1), seg(0, 0))
+        assert mseg((0, 1), (0, 0)).segments == (seg(0, 1), seg(0, 0))
 
     def test_two_lines_grouped(self):
         m = Multisegment.of(seg(0, 0), seg(5, 5, line_id="s"), seg(1, 1))
-        order = canonical_order(m)
+        order = m.segments
         assert [s.line_id for s in order] == ["r", "r", "s"]
         assert order[0] == seg(1, 1)
 
@@ -205,7 +207,7 @@ class TestCanonicalOrder:
         from strata_kit import relate
 
         for m in all_anchored(6):
-            order = canonical_order(m)
+            order = m.segments
             for i in range(len(order)):
                 for j in range(i + 1, len(order)):
                     rel = relate(order[i], order[j])
@@ -213,9 +215,36 @@ class TestCanonicalOrder:
                     if rel.contains:
                         assert order[i].length >= order[j].length
 
+
+class TestDegeneratesTo:
+    def test_examples(self):
+        pair, union = mseg((1, 1), (0, 0)), mseg((0, 1))
+        assert degenerates_to(pair, union)
+        assert not degenerates_to(union, pair)
+        assert degenerates_to(pair, pair)
+        assert not degenerates_to(pair, mseg((1, 1), (1, 1)))
+        # One line's order does not mix with another's.
+        other = Multisegment.of(seg(0, 1, line_id="s"), seg(1, 1, line_id="s"))
+        assert degenerates_to(pair.union(other), union.union(other))
+        assert not degenerates_to(pair.union(other), union.union(mseg((0, 1), line_id="s")))
+
+    def test_agrees_with_downset(self):
+        """The rank criterion picks exactly the downset among the multisegments
+        of one support, for every one-line support in [0, 5] that holds 0."""
+        checked = 0
+        for d in range(1, 7):
+            for extra in itertools.combinations_with_replacement(range(6), d - 1):
+                pool = enumerate_with_support(CuspidalLabel("r", twist=t) for t in (0,) + extra)
+                for m in pool:
+                    below = {m2 for m2 in pool if degenerates_to(m, m2)}
+                    assert set(downset(m).nodes) == below, m
+                checked += len(pool)
+        assert checked == 1531
+
     def test_wraparound_rejected(self):
+        m = Multisegment.of(seg(0, 0, period=2))
         with pytest.raises(WraparoundError):
-            canonical_order(Multisegment.of(seg(0, 0, period=2)))
+            degenerates_to(m, m)
 
 
 class TestElementaryReductions:

@@ -10,12 +10,9 @@ from strata_kit import (
     Segment,
     ShapeError,
     WraparoundError,
-    bottom_minus,
-    equivalent,
-    inertially_equivalent,
+    inertial_class,
     linked,
     relate,
-    segment_invariants,
     top_minus,
     union_and_intersection,
 )
@@ -36,10 +33,11 @@ class TestCuspidalLabel:
             CuspidalLabel("r", period=0)
 
     def test_isomorphic(self):
+        """Isomorphic points, the same line and reduced twist, compare equal."""
         a = CuspidalLabel("r", period=2, twist=0)
-        assert a.isomorphic(CuspidalLabel("r", period=2, twist=2))
-        assert not a.isomorphic(CuspidalLabel("r", period=2, twist=1))
-        assert not a.isomorphic(CuspidalLabel("s", period=2, twist=0))
+        assert a == CuspidalLabel("r", period=2, twist=2)
+        assert a != CuspidalLabel("r", period=2, twist=1)
+        assert a != CuspidalLabel("s", period=2, twist=0)
 
 
 class TestSegment:
@@ -53,9 +51,10 @@ class TestSegment:
             seg(2, 1)
 
     def test_invariants(self):
-        assert segment_invariants(seg(0, 2, dim=2)) == (3, 2, 6)
-        assert segment_invariants(seg(5, 5)) == (1, 1, 1)
-        assert segment_invariants(EMPTY_SEGMENT) == (0, 0, 0)
+        s = seg(0, 2, dim=2)
+        assert (s.length, s.dim, s.degree) == (3, 2, 6)
+        s = seg(5, 5)
+        assert (s.length, s.dim, s.degree) == (1, 1, 1)
 
     def test_json_round_trip(self):
         s = seg(0, 2, dim=2, period=3)
@@ -81,17 +80,16 @@ class TestSupport:
 
 class TestEquivalence:
     def test_equivalent(self):
+        """Equivalent segments, the same line and twists, compare equal."""
         s1 = seg(0, 1)
         s2 = Segment(CuspidalLabel("r", twist=3), -3, -2)
-        assert equivalent(s1, s2)
-        assert equivalent(s1, s1)
-        assert not equivalent(seg(0, 1), seg(0, 2))
-        assert equivalent(EMPTY_SEGMENT, EMPTY_SEGMENT)
-        assert not equivalent(s1, EMPTY_SEGMENT)
+        assert s1 == s2
+        assert seg(0, 1) != seg(0, 2)
+        assert EMPTY_SEGMENT == EMPTY_SEGMENT
+        assert s1 != EMPTY_SEGMENT
 
     def test_finite_period_equality_is_equivalence(self):
         s1, s2 = seg(0, 1, period=3), seg(3, 4, period=3)
-        assert equivalent(s1, s2)
         assert s1 == s2 and hash(s1) == hash(s2)
         assert Segment(CuspidalLabel("r", period=3, twist=2), 2, 3) == seg(1, 2, period=3)
         assert seg(0, 1, period=3) != seg(1, 2, period=3)
@@ -100,9 +98,13 @@ class TestEquivalence:
         assert m1 == m2 and hash(m1) == hash(m2)
 
     def test_inertially_equivalent(self):
-        assert inertially_equivalent(seg(0, 1), seg(7, 8))
-        assert not inertially_equivalent(seg(0, 1), seg(0, 1, line_id="s"))
-        assert inertially_equivalent(seg(0, 1), seg(0, 1))
+        """Inertially equivalent segments have one inertial class."""
+        def cls(s):
+            return inertial_class(Multisegment.of(s))
+
+        assert cls(seg(0, 1)) == cls(seg(7, 8))
+        assert cls(seg(0, 1)) != cls(seg(0, 1, line_id="s"))
+        assert cls(seg(0, 1)) != cls(seg(0, 2))
 
 
 class TestRelate:
@@ -195,10 +197,6 @@ class TestTruncation:
         assert top_minus(seg(0, 2), 3) is EMPTY_SEGMENT
         assert top_minus(seg(0, 2), 2) == seg(0, 0)
 
-    def test_bottom_minus(self):
-        assert bottom_minus(seg(0, 2)) == seg(1, 2)
-        assert bottom_minus(seg(4, 4)) is EMPTY_SEGMENT
-
     def test_composition(self):
         for a in range(3):
             for b in range(a, a + 5):
@@ -215,5 +213,3 @@ class TestTruncation:
             top_minus(EMPTY_SEGMENT)
         with pytest.raises(ShapeError):
             top_minus(seg(0, 1), 0)
-        with pytest.raises(ShapeError):
-            bottom_minus(EMPTY_SEGMENT)
