@@ -9,7 +9,8 @@ One table, :func:`expand`, writes each class in the segment classes Z(Δ),
 in which the ring on infinite-period lines is polynomial (Zelevinsky): a
 class is the product of its linked components, and a ladder component is
 Tadić's determinant (Lapid-Mínguez).  Any other component, every class on
-a finite-period line and every unknown derivative stays one opaque atom.
+a finite-period line and every unknown derivative stays one opaque atom, as
+do the factors of a product whose expansion would outgrow one ladder's.
 The derivative is the ring homomorphism with D(Z(Δ)) = Z(Δ) + Z(Δ⁻) in
 degree dim Δ, applied to that expansion, and :func:`check_identity`
 decides on the expanded difference.
@@ -18,6 +19,7 @@ decides on the expanded difference.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import attrgetter
 from typing import Optional
 
@@ -162,18 +164,26 @@ def _multiply(acc: dict[Term, int], combos) -> dict[Term, int]:
     return acc
 
 
-def _leibniz(tables, degree: Optional[int] = None) -> dict[int, dict[Term, int]]:
-    """Graded product of graded derivative tables (the Leibniz rule).
-
-    Each choice of one layer per table contributes the product of those
-    layers in the sum of their degrees.  With ``degree`` given, only the
-    choices summing to it are multiplied, so only that layer is built.
-    """
+def _leibniz(tables, low=0, high=math.inf, limit=math.inf) -> Optional[dict[int, dict[Term, int]]]:
+    """Graded product of derivative tables (the Leibniz rule): each choice of
+    one layer per table with degrees summing to between low and high adds
+    the product of those layers.  Past limit choices, partial choices that
+    pass high or cannot reach low are dropped as they form (no degree is
+    negative), and the result is None if more than limit remain."""
     tables = list(tables)
+    if math.prod(map(len, tables)) <= limit:
+        choices = [(c, sum(c)) for c in itertools.product(*tables)]
+    else:
+        reach = list(itertools.accumulate(map(max, reversed(tables)), initial=0))
+        choices = [((), 0)]
+        for t, rest in zip(tables, reach[-2::-1]):
+            choices = [(c + (d,), s + d) for c, s in choices for d in t
+                       if low <= s + rest + d and s + d <= high]
+            if len(choices) > limit:
+                return None
     result: dict[int, dict[Term, int]] = {}
-    for degrees in itertools.product(*tables):
-        g = sum(degrees)
-        if degree is None or g == degree:
+    for degrees, g in choices:
+        if low <= g <= high:
             _multiply(result.setdefault(g, {}), [t[d] for t, d in zip(tables, degrees)])
     return result
 
@@ -192,10 +202,15 @@ def _components(segs) -> list[list[Segment]]:
     return comps
 
 
-def _ladder(segs: tuple) -> dict[Term, int]:
-    """Tadić's determinant sum_w sgn(w) prod_i Z([a_w(i), b_i]) of a ladder,
-    whose segments are stored with ends and starts strictly decreasing;
+def _ladder(m) -> dict[Term, int]:
+    """A class as Tadić's determinant sum_w sgn(w) prod_i Z([a_w(i), b_i])
+    if it is a ladder of 2 to MAX_LADDER segments on an infinite-period line
+    (stored with ends and starts strictly decreasing), else as itself;
     Z([a, a-1]) is 1, and a product with a segment [a, b], b < a-1, is 0."""
+    segs = m.segments if m.__class__ is Multisegment and m.infinite_period else ()
+    steps = zip(segs, segs[1:])
+    if not 1 < len(segs) <= MAX_LADDER or any(s.a <= t.a or s.b <= t.b for s, t in steps):
+        return {(m,): 1}
     line = segs[0].cuspidal
     acc: dict[Term, int] = {}
     for w in itertools.permutations(range(len(segs))):
@@ -212,66 +227,64 @@ def _ladder(segs: tuple) -> dict[Term, int]:
     return acc
 
 
-def expand(atom) -> dict[Term, int]:
-    """The class of an atom as a combination of products of segment classes.
-
-    On infinite-period lines a class is the product of its linked
-    components (Zelevinsky).  A component that is a ladder of at most
-    MAX_LADDER segments expands by :func:`_ladder`, a single segment among
-    them; any other stays one opaque atom.  The segments on finite-period
-    lines form one opaque class, and an unknown derivative stays as it is.
-    """
+def _factors(atom) -> list:
+    """The classes whose product an atom is: on infinite-period lines, its
+    linked components (Zelevinsky), and the rest of its segments as one."""
     if atom.__class__ is OpaqueDerivative or len(atom.segments) == 1:
-        return {(atom,): 1}
-    factors = []
-    for comp in _components(s for s in atom.segments if s.infinite_period):
-        m = Multisegment(comp)
-        segs = m.segments
-        ladder = len(segs) <= MAX_LADDER and all(
-            s.a > t.a and s.b > t.b for s, t in zip(segs, segs[1:])
-        )
-        factors.append(_ladder(segs) if ladder else {(m,): 1})
-    finite = [s for s in atom.segments if not s.infinite_period]
-    if finite:
-        factors.append({(Multisegment(finite),): 1})
-    return _multiply({}, factors)
+        return [atom]
+    comps = _components(s for s in atom.segments if s.infinite_period)
+    comps.append([s for s in atom.segments if not s.infinite_period])
+    return [Multisegment(c) for c in comps if c]
+
+
+def expand(term: Term) -> dict[Term, int]:
+    """A term as a combination of products of segment classes.
+
+    Each factor expands by :func:`_ladder`.  A product whose expansion would
+    have more terms than one ladder of MAX_LADDER segments keeps its factors
+    opaque, to bound the work.
+    """
+    if all(map(_is_segment, term)):
+        return {term: 1}
+    factors = [m for atom in term for m in _factors(atom)]
+    expansions = list(map(_ladder, factors))
+    if math.prod(map(len, expansions)) > math.factorial(MAX_LADDER):
+        return {_sorted_term(factors): 1}
+    return _multiply({}, expansions)
 
 
 def _is_segment(atom) -> bool:
     return atom.__class__ is Multisegment and len(atom.segments) == 1
 
 
-def atom_derivative(atom: Multisegment) -> Optional[dict[int, dict[Term, int]]]:
-    """Complete graded derivative of an irreducible class, or None if unknown.
-
-    A segment has layers 0 and its dim; any other class is the Leibniz
-    product over its expansion, unknown when the expansion holds an opaque
-    atom.
-    """
-    segs = atom.segments
-    if len(segs) == 1:
-        d = segs[0]
-        return {0: {(atom,): 1}, d.dim: {(_single(top_minus(d)),) if d.length > 1 else (): 1}}
-    acc: dict[int, dict[Term, int]] = {}
-    for term, coeff in expand(atom).items():
-        if not all(map(_is_segment, term)):
-            return None
-        _add_layers(acc, _leibniz(map(atom_derivative, term)), coeff)
-    return acc
+def _segment_table(atom: Multisegment) -> dict[int, dict[Term, int]]:
+    """D(Z(Δ)) = Z(Δ) + Z(Δ⁻), the second layer in degree dim Δ."""
+    d = atom.segments[0]
+    return {0: {(atom,): 1}, d.dim: {(_single(top_minus(d)),) if d.length > 1 else (): 1}}
 
 
 def term_derivative(term: Term, degree: Optional[int] = None) -> Optional[GradedVirtual]:
-    """Leibniz expansion of a product of atoms; None if any factor is unknown.
+    """The graded derivative of a product of atoms, or None if unknown.
 
-    With ``degree`` given, only the layer of that degree is built.
+    D is the ring homomorphism given by the segment tables, applied to the
+    product's expansion.  It is unknown when that holds an opaque atom, or
+    would form more products than the complete derivative of one ladder of
+    MAX_LADDER segments.  With ``degree`` given, only that layer is built.
     """
-    tables = []
-    for atom in term:
-        table = None if isinstance(atom, OpaqueDerivative) else atom_derivative(atom)
-        if table is None:
+    low, high = (0, math.inf) if degree is None else (degree, degree)
+    expansion = expand(term)
+    limit = (math.factorial(MAX_LADDER) << MAX_LADDER) // len(expansion)
+    acc: dict[int, dict[Term, int]] = {}
+    for t, coeff in expansion.items():
+        if not all(map(_is_segment, t)):
             return None
-        tables.append(table)
-    return _wrap(_leibniz(tables, degree))
+        layers = _leibniz(map(_segment_table, t), low, high, limit)
+        if layers is None:
+            return None
+        if len(expansion) == 1 and coeff == 1:  # a product of segments
+            return _wrap(layers)
+        _add_layers(acc, layers, coeff)
+    return _wrap(acc)
 
 
 def _derivative(degree: int, combo: dict[Term, int]) -> dict[Term, int]:
@@ -282,8 +295,7 @@ def _derivative(degree: int, combo: dict[Term, int]) -> dict[Term, int]:
     for term, coeff in combo.items():
         graded = term_derivative(term, degree)
         if graded is None:
-            _add_term(acc, (OpaqueDerivative(_term_str(term), degree),), coeff)
-            continue
+            graded = _wrap({degree: {(OpaqueDerivative(_term_str(term), degree),): 1}})
         for t2, c2 in graded.layers.get(degree, {}).items():
             _add_term(acc, t2, coeff * c2)
     return acc
@@ -445,22 +457,19 @@ def _undecided(combo: dict[Term, int]) -> Optional[str]:
 def check_identity(lhs: GradedVirtual, rhs: GradedVirtual) -> Verdict:
     """Decide an identity on the expanded difference of its sides; never guesses.
 
-    Every term of the difference is expanded by :func:`expand`, a term of
-    segments alone as it stands.  The result is "verified" when the
-    expansion is zero in every degree, with opaque atoms as free symbols;
-    "refuted" at the lowest degree where a coefficient is nonzero and no
-    opaque term can cancel it; and otherwise "unverifiable", naming the
-    smallest undecided term at the lowest nonzero degree.
+    Every term of the difference is expanded by :func:`expand`.  The result
+    is "verified" when the expansion is zero in every degree, with opaque
+    atoms as free symbols; "refuted" at the lowest degree where a coefficient
+    is nonzero and no opaque term can cancel it; and otherwise
+    "unverifiable", naming the smallest undecided term at the lowest nonzero
+    degree.
     """
     diff = _add_layers({g: dict(combo) for g, combo in lhs.layers.items()}, rhs.layers, -1)
     reason = None
     for g in sorted(diff):
         combo: dict[Term, int] = {}
         for term, coeff in diff[g].items():
-            if all(map(_is_segment, term)):
-                _add_term(combo, term, coeff)
-                continue
-            for t2, c2 in _multiply({}, map(expand, term)).items():
+            for t2, c2 in expand(term).items():
                 _add_term(combo, t2, coeff * c2)
         if not combo:
             continue

@@ -1,5 +1,5 @@
 import itertools
-import time
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -33,8 +33,8 @@ from strata_kit.kgroup import (
     _atom_key,
     _leibniz,
     _sorted_term,
-    atom_derivative,
     expand,
+    term_derivative,
 )
 
 from conftest import mseg, seg
@@ -470,11 +470,11 @@ _segment_st = st.tuples(st.sampled_from("rs"), st.integers(-2, 3), st.integers(0
 # Derivative tables of atoms, and tables of signed combinations of any terms,
 # whose products can cancel.
 table_st = st.one_of(
-    _segment_st.map(lambda s: atom_derivative(_multisegment([s]))),
+    _segment_st.map(lambda s: term_derivative((_multisegment([s]),)).layers),
     pair_atom_st.map(
-        lambda atom: atom_derivative(
-            Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in atom[1]))
-        )
+        lambda atom: term_derivative(
+            (Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in atom[1])),)
+        ).layers
     ),
     st.dictionaries(
         st.integers(0, 3),
@@ -496,9 +496,14 @@ def test_leibniz_builds_exactly_the_asked_for_layer(tables):
 
     assert nonzero(_leibniz(iter(tables))) == expected
     for g in range(max(expected, default=0) + 2):
-        layers = nonzero(_leibniz(tables, g))
+        layers = nonzero(_leibniz(tables, g, g))
         assert layers.keys() <= {g}
         assert layers.get(g, {}) == expected.get(g, {})
+        # Past the limit, partial choices are pruned, or the product given up.
+        size = math.prod(map(len, tables))
+        for limit in {1, size // 2, max(size - 1, 0)}:
+            limited = _leibniz(tables, g, g, limit)
+            assert limited is None or nonzero(limited) == layers
 
 
 # K-group expressions from the grammar, each drawn with the element the public
@@ -561,23 +566,23 @@ def test_parser_builds_what_the_constructors_build(node):
 class TestExpand:
     def test_segments_and_unlinked_classes(self):
         m = mseg((0, 1))
-        assert expand(m) == {(m,): 1}
-        assert expand(mseg((0, 0), (3, 4))) == {term_of((0, 0), (3, 4)): 1}
-        assert expand(mseg((0, 2), (1, 1))) == {term_of((0, 2), (1, 1)): 1}
+        assert expand((m,)) == {(m,): 1}
+        assert expand((mseg((0, 0), (3, 4)),)) == {term_of((0, 0), (3, 4)): 1}
+        assert expand((mseg((0, 2), (1, 1)),)) == {term_of((0, 2), (1, 1)): 1}
 
     def test_ladders_expand_by_the_determinant(self):
-        assert expand(mseg((1, 1), (0, 0))) == {term_of((1, 1), (0, 0)): 1, term_of((0, 1)): -1}
-        assert expand(mseg((1, 3), (0, 2))) == {
+        assert expand((mseg((1, 1), (0, 0)),)) == {term_of((1, 1), (0, 0)): 1, term_of((0, 1)): -1}
+        assert expand((mseg((1, 3), (0, 2)),)) == {
             term_of((1, 3), (0, 2)): 1, term_of((0, 3), (1, 2)): -1,
         }
-        assert expand(mseg((2, 2), (1, 1), (0, 0))) == {
+        assert expand((mseg((2, 2), (1, 1), (0, 0)),)) == {
             term_of((2, 2), (1, 1), (0, 0)): 1,
             term_of((2, 2), (0, 1)): -1,
             term_of((1, 2), (0, 0)): -1,
             term_of((0, 2)): 1,
         }
         # Each linked component expands on its own.
-        assert expand(mseg((1, 1), (0, 0), (5, 5))) == {
+        assert expand((mseg((1, 1), (0, 0), (5, 5)),)) == {
             term_of((1, 1), (0, 0), (5, 5)): 1, term_of((0, 1), (5, 5)): -1,
         }
 
@@ -587,22 +592,61 @@ class TestExpand:
         long = Multisegment.of(*(seg(i, i + 1) for i in range(7)))
         placeholder = OpaqueDerivative("Z{[0,0]_r}", 1)
         for atom in (tangle, finite, long, placeholder):
-            assert expand(atom) == {(atom,): 1}
-        assert expand(tangle.union(mseg((9, 9)))) == {term_of((9, 9)) + (tangle,): 1}
+            assert expand((atom,)) == {(atom,): 1}
+        assert expand((tangle.union(mseg((9, 9))),)) == {term_of((9, 9)) + (tangle,): 1}
         # The finite-period segments of a class form one atom.
         mixed = finite.union(mseg((1, 1), (0, 0)))
-        assert expand(mixed) == {
-            _sorted_term(term + (finite,)): c for term, c in expand(mseg((1, 1), (0, 0))).items()
+        assert expand((mixed,)) == {
+            _sorted_term(term + (finite,)): c for term, c in expand((mseg((1, 1), (0, 0)),)).items()
         }
 
-    def test_long_ladder_returns_quickly(self):
+    def test_long_ladder_stays_opaque(self):
         m = Multisegment.of(*(seg(i, i + 2) for i in range(12)))
-        start = time.perf_counter()
-        verdict = check_identity(ZClass(m), product(*m.segments))
-        derivative = DerivativeExpr(1, ZClass(m))
-        assert time.perf_counter() - start < 1.0
-        assert verdict.status == "unverifiable"
-        assert derivative == GradedVirtual({0: {(OpaqueDerivative(f"Z{m}", 1),): 1}})
+        assert expand((m,)) == {(m,): 1}
+        assert check_identity(ZClass(m), product(*m.segments)).status == "unverifiable"
+        unknown = OpaqueDerivative(f"Z{m}", 1)
+        assert DerivativeExpr(1, ZClass(m)) == GradedVirtual({0: {(unknown,): 1}})
+
+    def test_many_short_ladders_stay_opaque_together(self):
+        """A class of k unlinked two-segment ladders has 2^k expanded terms;
+        past one longest ladder's 720 the ladders stay opaque side by side."""
+        ladders = [mseg((10 * i, 10 * i + 1), (10 * i + 1, 10 * i + 2)) for i in range(12)]
+        m = Multisegment([s for ladder in ladders for s in ladder.segments])
+        assert expand((m,)) == {_sorted_term(ladders): 1}
+        assert len(expand((Multisegment(m.segments[:18]),))) == 2 ** 9
+        assert check_identity(ZClass(m), ProductExpr(map(ZClass, ladders))).verified
+        assert str(check_identity(ZClass(m), ZClass(mseg((0, 0))))) == "refuted at degree 0"
+        (term,) = DerivativeExpr(1, ZClass(m)).layer(0)
+        assert isinstance(term[0], OpaqueDerivative)
+
+    def test_product_of_two_longest_ladders_stays_opaque(self):
+        for line in ("r", "s"):
+            a = Multisegment.of(*(seg(i, i + 6) for i in range(6)))
+            b = Multisegment.of(*(seg(i + 20, i + 26, line_id=line) for i in range(6)))
+            x = ProductExpr([ZClass(a), ZClass(b)])
+            assert expand((a.union(b),)) == {_sorted_term([a, b]): 1}
+            assert expand(_sorted_term([a, b])) == {_sorted_term([a, b]): 1}
+            assert check_identity(x, ZClass(a.union(b))).verified
+            assert str(check_identity(x, ZClass(mseg((0, 0))))) == "refuted at degree 0"
+            (term,) = DerivativeExpr(1, x).layer(0)
+            assert isinstance(term[0], OpaqueDerivative)
+
+    def test_large_derivatives_stay_unknown(self):
+        """A derivative layer is built from at most 720 * 2^6 products, the
+        complete derivative of one longest ladder; a larger one is unknown."""
+        points = product(*(seg(2 * i, 2 * i) for i in range(18)))
+        assert len(DerivativeExpr(1, points).layer(0)) == 18
+        (term,) = DerivativeExpr(9, points).layer(0)
+        assert isinstance(term[0], OpaqueDerivative)
+        ladders = [mseg((10 * i, 10 * i + 1), (10 * i + 1, 10 * i + 2)) for i in range(9)]
+        m = ZClass(Multisegment([s for ladder in ladders for s in ladder.segments]))
+        leibniz = SumExpr(
+            ProductExpr([DerivativeExpr(1, ZClass(x)) if x == y else ZClass(x) for x in ladders])
+            for y in ladders
+        )
+        assert check_identity(DerivativeExpr(1, m), leibniz).verified
+        (term,) = DerivativeExpr(9, m).layer(0)
+        assert isinstance(term[0], OpaqueDerivative)
 
 
 @pytest.mark.parametrize("shift", range(7))
