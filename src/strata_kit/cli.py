@@ -15,23 +15,15 @@ import os
 import re
 import sys
 
-from .errors import BudgetExceededError, InputError, StrataKitError, expect
-from .kgroup import (
-    GradedVirtual,
-    Term,
-    _add_term,
-    _atom_key,
-    _class,
-    _derivative,
-    _multiply,
-    _wrap,
-    check_identity,
-)
+from .errors import (BudgetExceededError, InputError, StrataKitError, expect, line_column,
+                     too_many_digits)
+# parse_expression is re-exported: criterion 7 imports it from here.
+from .expression import MAX_NESTING, parse_expression, parse_identity  # noqa: F401
+from .kgroup import check_identity
 from .multisegments import (
     DEFAULT_SUPPORT_BOUND,
     DEFAULT_NODE_BOUND,
     Multisegment,
-    _single,
     downset,
     enumerate_with_support,
     inertial_class,
@@ -39,7 +31,7 @@ from .multisegments import (
     mw_dual,
 )
 from .partitions import Partition
-from .segments import CuspidalLabel, Segment
+from .segments import CuspidalLabel
 from .strata import (
     DEFAULT_COMPONENT_BOUND,
     BlockSpec,
@@ -48,210 +40,10 @@ from .strata import (
     ring_presentation,
 )
 
-DEFAULT_LINE_ID = "r"
 BUDGET_ENV_VAR = "STRATAKIT_BUDGET"
 
-# One token past any whitespace.  Groups: 1 a well-formed segment '[a,b]' or
-# '[a,b;line]', 2 its 'Z' and the space after it, or '', 3-5 a, b, line;
-# 6 an integer; 7 ';' and a line name, 8 the name; 9 any other character;
-# none at the end.  \s, \d and \w are str.isspace, isdecimal, isalnum or '_'.
-_TOKEN = re.compile(r"\s*(?:(?P<seg>(Z?\s*)\[\s*(-?\d+)\s*,\s*(-?\d+)\s*(?:;\s*(\w+)\s*)?\])"
-                    r"|(?P<int>-?\d+)|(?P<name>;\s*(\w+))|(?P<op>.))?")
-# Brackets may nest this deep in an expression; a JSON input that nests too
-# deep for the decoder is reported at its first bracket past this depth.
-MAX_NESTING = 100
 # A JSON string, or a bracket outside strings.
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
-
-
-def _too_long() -> str:
-    return f"integer has more than {sys.get_int_max_str_digits()} digits"
-
-
-class ExpressionSyntaxError(InputError):
-    """Syntax error in a K-group expression, with 1-based position info."""
-
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"syntax error at line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-
-
-class _Parser:
-    """Recursive-descent parser for the K-group expression grammar.
-
-    identity := expr '=' expr; expr := prod ('+' prod)*;
-    prod := atom ('*' atom)*;
-    atom := 'Z[' int ',' int (';' ident)? ']' | 'Z{' mseg '}'
-          | 'D^' int '(' expr ')' | '(' expr ')', with derivative order >= 0.
-    Every element the grammar denotes lives in degree 0, so each rule
-    returns the combination of terms it denotes, and ``parse`` and
-    ``identity`` wrap each side once.  ``tok`` is the current token, one
-    match of ``_TOKEN``, and ``op`` its character if it is a single one.
-    """
-
-    def __init__(self, src: str) -> None:
-        self.src = src
-        self.depth = 0
-        self._advance(0)
-
-    def _advance(self, pos: int) -> None:
-        """Make the token at ``pos``, past any whitespace, the current one."""
-        self.tok = tok = _TOKEN.match(self.src, pos)
-        self.op = tok[9]
-
-    def _error(self, message: str, pos: int | None = None) -> ExpressionSyntaxError:
-        """The fault at ``pos``, by default where the current token starts."""
-        if pos is None:
-            pos = self.tok.start(self.tok.lastindex) if self.tok.lastindex else len(self.src)
-        return ExpressionSyntaxError(message, *_position(self.src, pos))
-
-    def _expect(self, op: str) -> None:
-        if self.op != op:
-            raise self._error(f"expected {op!r}")
-        self._advance(self.tok.end())
-
-    def _int(self) -> int:
-        tok = self.tok
-        if tok.lastgroup != "int":
-            raise self._error("expected an integer")
-        self._advance(tok.end())
-        try:
-            return int(tok[6])
-        except ValueError:
-            raise self._error(_too_long(), tok.start(6)) from None
-
-    def _segment_token(self) -> Segment:
-        """The segment the current token spells; reading it again token by
-        token names an integer in it that is too long."""
-        tok = self.tok
-        try:
-            a, b = int(tok[3]), int(tok[4])
-        except ValueError:
-            return self._segment_tokens(tok.end(2))
-        self._advance(tok.end())
-        return self._make_segment(tok[5] or DEFAULT_LINE_ID, a, b, tok.end(2))
-
-    def _segment_tokens(self, bracket: int) -> Segment:
-        """The segment whose '[' is at ``bracket``, read one token at a time."""
-        self._advance(bracket + 1)
-        a = self._int()
-        self._expect(",")
-        b = self._int()
-        line_id = DEFAULT_LINE_ID
-        if self.tok.lastgroup == "name":
-            line_id = self.tok[8]
-            self._advance(self.tok.end())
-        elif self.op == ";":
-            self._advance(self.tok.end())
-            raise self._error("expected an identifier")
-        self._expect("]")
-        return self._make_segment(line_id, a, b, bracket)
-
-    def _segment(self) -> Segment:
-        """The segment at the current token, inside 'Z{...}'."""
-        if self.tok.lastgroup == "seg" and not self.tok[2]:
-            return self._segment_token()
-        if self.op != "[":
-            raise self._error("expected '['")
-        return self._segment_tokens(self.tok.start(9))
-
-    def _make_segment(self, line_id: str, a: int, b: int, bracket: int) -> Segment:
-        try:
-            return Segment(CuspidalLabel(line_id), a, b)
-        except StrataKitError as exc:
-            raise self._error(str(exc), bracket) from None
-
-    def _enclosed(self) -> dict[Term, int]:
-        """'(' expr ')', at most MAX_NESTING deep."""
-        if self.depth == MAX_NESTING:
-            raise self._error(f"nesting deeper than {MAX_NESTING}")
-        self._expect("(")
-        self.depth += 1
-        inner = self.expression()
-        self._expect(")")
-        self.depth -= 1
-        return inner
-
-    def _atom(self) -> dict[Term, int]:
-        """Any atom but a well-formed 'Z[a,b]', which ``_product`` reads."""
-        if self.op == "(":
-            return self._enclosed()
-        if self.op == "D":
-            self._advance(self.tok.end())
-            self._expect("^")
-            tok = self.tok
-            degree = self._int()
-            if degree < 0:
-                raise self._error("derivative order must be >= 0", tok.start(6))
-            return _derivative(degree, self._enclosed())
-        if self.op == "Z":
-            self._advance(self.tok.end())
-            if self.op == "{":
-                self._advance(self.tok.end())
-                segs: list[Segment] = []
-                if self.op != "}":
-                    segs.append(self._segment())
-                    while self.op == ",":
-                        self._advance(self.tok.end())
-                        segs.append(self._segment())
-                self._expect("}")
-                return _class(Multisegment.of(*segs))
-            if self.op == "[":  # a malformed segment: reading it names the fault
-                return _class(Multisegment.of(self._segment()))
-            raise self._error("expected '[' or '{' after 'Z'")
-        raise self._error("expected an atom")
-
-    def _product(self) -> dict[Term, int]:
-        """The factors 'Z[a,b]' form one sorted term; only the others multiply it."""
-        plain: list[Multisegment] = []
-        factors: list[dict[Term, int]] = []
-        while True:
-            if self.tok.lastgroup == "seg" and self.tok[2]:
-                plain.append(_single(self._segment_token()))
-            else:
-                factors.append(self._atom())
-            if self.op != "*":
-                break
-            self._advance(self.tok.end())
-        if plain:
-            factors.insert(0, {tuple(sorted(plain, key=_atom_key)): 1})
-        return factors[0] if len(factors) == 1 else _multiply({}, factors)
-
-    def expression(self) -> dict[Term, int]:
-        # Every rule returns a new combination, so the sum can grow the first.
-        acc = self._product()
-        while self.op == "+":
-            self._advance(self.tok.end())
-            for term, coeff in self._product().items():
-                _add_term(acc, term, coeff)
-        return acc
-
-    def _end(self) -> None:
-        if self.tok.lastindex:
-            raise self._error("unexpected trailing input")
-
-    def parse(self) -> GradedVirtual:
-        combo = self.expression()
-        self._end()
-        return _wrap({0: combo})
-
-    def identity(self) -> tuple[GradedVirtual, GradedVirtual]:
-        lhs = self.expression()
-        self._expect("=")
-        rhs = self.expression()
-        self._end()
-        return _wrap({0: lhs}), _wrap({0: rhs})
-
-
-def parse_expression(src: str) -> GradedVirtual:
-    """Parse a K-group expression string into the element it denotes."""
-    return _Parser(src).parse()
-
-
-def _position(text: str, pos: int) -> tuple[int, int]:
-    """The 1-based line and column of ``text[pos]``."""
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _dumps(value) -> str:
@@ -279,7 +71,7 @@ def _too_deep(text: str) -> InputError:
                 break
         elif token[0] in "]}":
             depth -= 1
-    line, column = _position(text, token.start())
+    line, column = line_column(text, token.start())
     return InputError(
         f"invalid JSON at line {line}, column {column}: nesting deeper than {MAX_NESTING}"
     )
@@ -294,7 +86,7 @@ def _load_json(arg: str):
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except ValueError as exc:  # the only other fault: an integer too long
-        raise InputError(f"invalid JSON: {_too_long()}") from exc
+        raise InputError(f"invalid JSON: {too_many_digits()}") from exc
     except RecursionError as exc:
         raise _too_deep(text) from exc
 
@@ -398,7 +190,7 @@ def _cmd_ext(args) -> None:
 
 
 def _cmd_kgroup_check(args) -> None:
-    lhs, rhs = _Parser(_read_input(args.identity)).identity()
+    lhs, rhs = parse_identity(_read_input(args.identity))
     _emit(args, str(check_identity(lhs, rhs)))
 
 

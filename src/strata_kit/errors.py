@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and helpers for its messages."""
+
+import sys
 
 
 class StrataKitError(Exception):
@@ -52,3 +54,12 @@ def expect(value, kind, where: str):
     if isinstance(value, kind) and not isinstance(value, bool):
         return value
     raise InputError(f"expected {_EXPECTED[kind]}", where)
+
+
+def line_column(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of ``text[pos]``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def too_many_digits() -> str:
+    return f"integer has more than {sys.get_int_max_str_digits()} digits"

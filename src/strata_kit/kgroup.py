@@ -24,7 +24,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .errors import ShapeError, WraparoundError
-from .multisegments import Multisegment, _single, degenerates_to
+from .multisegments import Multisegment, degenerates_to
 from .segments import Segment, linked, relate, top_minus
 from .values import Keyed, Value, set_key
 
@@ -60,11 +60,6 @@ def _sorted_term(atoms) -> Term:
     Only the trivial class, the empty multisegment, has an empty key.
     """
     return tuple(sorted([a for a in atoms if a._key], key=_atom_key))
-
-
-def _class(m: Multisegment) -> dict[Term, int]:
-    """The degree-0 combination of the class Z(m)."""
-    return {(m,) if m._key else (): 1}
 
 
 def _add_term(acc: dict, term: Term, coeff: int) -> None:
@@ -220,7 +215,7 @@ def _ladder(m) -> dict[Term, int]:
             if b < a - 1:
                 break
             if b >= a:
-                atoms.append(_single(Segment(line, a, b)))
+                atoms.append(Multisegment.single(Segment(line, a, b)))
         else:
             inversions = sum(x > y for x, y in itertools.combinations(w, 2))
             _add_term(acc, tuple(sorted(atoms, key=_atom_key)), (-1) ** inversions)
@@ -260,7 +255,8 @@ def _is_segment(atom) -> bool:
 def _segment_table(atom: Multisegment) -> dict[int, dict[Term, int]]:
     """D(Z(Δ)) = Z(Δ) + Z(Δ⁻), the second layer in degree dim Δ."""
     d = atom.segments[0]
-    return {0: {(atom,): 1}, d.dim: {(_single(top_minus(d)),) if d.length > 1 else (): 1}}
+    lower = (Multisegment.single(top_minus(d)),) if d.length > 1 else ()
+    return {0: {(atom,): 1}, d.dim: {lower: 1}}
 
 
 def term_derivative(term: Term, degree: Optional[int] = None) -> Optional[GradedVirtual]:
@@ -285,20 +281,6 @@ def term_derivative(term: Term, degree: Optional[int] = None) -> Optional[Graded
             return _wrap(layers)
         _add_layers(acc, layers, coeff)
     return _wrap(acc)
-
-
-def _derivative(degree: int, combo: dict[Term, int]) -> dict[Term, int]:
-    """The degree-g derivative component of a combination, as DerivativeExpr."""
-    if degree == 0:
-        return dict(combo)
-    acc: dict[Term, int] = {}
-    for term, coeff in combo.items():
-        graded = term_derivative(term, degree)
-        if graded is None:
-            graded = _wrap({degree: {(OpaqueDerivative(_term_str(term), degree),): 1}})
-        for t2, c2 in graded.layers.get(degree, {}).items():
-            _add_term(acc, t2, coeff * c2)
-    return acc
 
 
 def total_derivative(x: GradedVirtual) -> GradedVirtual:
@@ -366,7 +348,12 @@ def weirdcase_constituents(alpha: int, delta: Segment) -> list[Multisegment]:
 
 def ZClass(m: Multisegment) -> GradedVirtual:
     """The class Z(m) of the irreducible with multisegment m, in degree 0."""
-    return _wrap({0: _class(m)})
+    return _wrap({0: {(m,) if m._key else (): 1}})
+
+
+def SegmentProduct(segments) -> GradedVirtual:
+    """The product Z(Δ1)...Z(Δk) of segment classes, one term in degree 0."""
+    return _wrap({0: {tuple(sorted(map(Multisegment.single, segments), key=_atom_key)): 1}})
 
 
 def ProductExpr(factors) -> GradedVirtual:
@@ -376,7 +363,9 @@ def ProductExpr(factors) -> GradedVirtual:
 
 def SumExpr(terms) -> GradedVirtual:
     """The sum of elements, degree by degree."""
-    acc: dict[int, dict[Term, int]] = {}
+    terms = iter(terms)
+    first = next(terms, GradedVirtual())
+    acc = {g: dict(combo) for g, combo in first.layers.items()}
     for x in terms:
         _add_layers(acc, x.layers)
     return _wrap(acc)
@@ -390,7 +379,16 @@ def DerivativeExpr(degree: int, inner: GradedVirtual) -> GradedVirtual:
     """
     if degree < 0:
         raise ShapeError(f"derivative order must be >= 0, got {degree}")
-    return _wrap({0: _derivative(degree, _degree_zero(inner))})
+    combo = _degree_zero(inner)
+    if degree == 0:
+        return inner
+    acc: dict[int, dict[Term, int]] = {}
+    for term, coeff in combo.items():
+        graded = term_derivative(term, degree)
+        if graded is None:
+            graded = _wrap({degree: {(OpaqueDerivative(_term_str(term), degree),): 1}})
+        _add_layers(acc, graded.layers, coeff)
+    return _wrap({0: acc.get(degree, {})})
 
 
 class Verdict(Value):

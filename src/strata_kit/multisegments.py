@@ -53,6 +53,14 @@ class Multisegment(Keyed):
     def of(cls, *segments: SegmentLike) -> "Multisegment":
         return cls(segments)
 
+    @classmethod
+    def single(cls, seg: Segment) -> "Multisegment":
+        """``Multisegment.of(seg)`` for one nonempty segment: nothing to drop or sort."""
+        m = cls.__new__(cls)
+        _set_segments(m, (seg,))
+        set_key(m, seg._key)
+        return m
+
     def __len__(self) -> int:
         return len(self.segments)
 
@@ -99,14 +107,6 @@ class Multisegment(Keyed):
 
 
 (_set_segments,) = slot_setters(Multisegment)
-
-
-def _single(seg: Segment) -> Multisegment:
-    """``Multisegment.of(seg)`` for one nonempty segment: nothing to drop or sort."""
-    m = Multisegment.__new__(Multisegment)
-    _set_segments(m, (seg,))
-    set_key(m, seg._key)
-    return m
 
 
 def degree(m: Multisegment) -> int:

@@ -1,23 +1,19 @@
 """The character-level K-group expression parser, kept as the test oracle.
 
-It reads the grammar of ``strata_kit.cli._Parser`` one character at a time,
-skipping whitespace before every token, and builds the same degree-0
-combinations.  ``CharParser(text).identity()`` and ``.parse()`` must agree
-with the library's parser: the same element, or the same syntax error at
-the same line and column.
+It reads the grammar of ``strata_kit.expression`` one character at a time,
+skipping whitespace before every token, and builds the same elements on the
+general path: every ``Z[a,b]`` is a ``ZClass`` and every product a
+``ProductExpr``, where the library's parser forms the plain ``Z[a,b]`` factors
+of a product as one ``SegmentProduct``.  ``CharParser(text).identity()`` and
+``.parse()`` must agree with ``parse_identity`` and ``parse_expression``: the
+same element, or the same syntax error at the same line and column.
 """
 
 from __future__ import annotations
 
-from strata_kit.cli import (
-    DEFAULT_LINE_ID,
-    MAX_NESTING,
-    ExpressionSyntaxError,
-    _position,
-    _too_long,
-)
-from strata_kit.errors import StrataKitError
-from strata_kit.kgroup import _add_term, _class, _derivative, _multiply, _wrap
+from strata_kit.errors import StrataKitError, line_column, too_many_digits
+from strata_kit.expression import DEFAULT_LINE_ID, MAX_NESTING, ExpressionSyntaxError
+from strata_kit.kgroup import DerivativeExpr, ProductExpr, SumExpr, ZClass
 from strata_kit.multisegments import Multisegment
 from strata_kit.segments import CuspidalLabel, Segment
 
@@ -29,7 +25,7 @@ class CharParser:
         self.depth = 0
 
     def _fail(self, message: str, pos=None) -> None:
-        raise ExpressionSyntaxError(message, *_position(self.src, self.pos if pos is None else pos))
+        raise ExpressionSyntaxError(message, *line_column(self.src, self.pos if pos is None else pos))
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -59,7 +55,7 @@ class CharParser:
             return int(self.src[start : self.pos])
         except ValueError:
             self.pos = start
-            self._fail(_too_long())
+            self._fail(too_many_digits())
             raise  # unreachable
 
     def _ident(self) -> str:
@@ -115,12 +111,12 @@ class CharParser:
             if degree < 0:
                 self.pos = start
                 self._fail("derivative order must be >= 0")
-            return _derivative(degree, self._enclosed())
+            return DerivativeExpr(degree, self._enclosed())
         if ch == "Z":
             self._expect("Z")
             ch = self._peek()
             if ch == "[":
-                return _class(Multisegment.of(self._segment()))
+                return ZClass(Multisegment.of(self._segment()))
             if ch == "{":
                 self._expect("{")
                 segs = []
@@ -130,7 +126,7 @@ class CharParser:
                         self._expect(",")
                         segs.append(self._segment())
                 self._expect("}")
-                return _class(Multisegment.of(*segs))
+                return ZClass(Multisegment.of(*segs))
             self._fail("expected '[' or '{' after 'Z'")
         self._fail("expected an atom")
 
@@ -139,15 +135,14 @@ class CharParser:
         while self._peek() == "*":
             self._expect("*")
             factors.append(self._atom())
-        return factors[0] if len(factors) == 1 else _multiply({}, factors)
+        return factors[0] if len(factors) == 1 else ProductExpr(factors)
 
     def expression(self):
-        acc = self._product()
+        terms = [self._product()]
         while self._peek() == "+":
             self._expect("+")
-            for term, coeff in self._product().items():
-                _add_term(acc, term, coeff)
-        return acc
+            terms.append(self._product())
+        return terms[0] if len(terms) == 1 else SumExpr(terms)
 
     def _end(self) -> None:
         self._skip_ws()
@@ -155,13 +150,13 @@ class CharParser:
             self._fail("unexpected trailing input")
 
     def parse(self):
-        combo = self.expression()
+        x = self.expression()
         self._end()
-        return _wrap({0: combo})
+        return x
 
     def identity(self):
         lhs = self.expression()
         self._expect("=")
         rhs = self.expression()
         self._end()
-        return _wrap({0: lhs}), _wrap({0: rhs})
+        return lhs, rhs

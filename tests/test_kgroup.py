@@ -26,7 +26,7 @@ from strata_kit import (
     total_derivative,
     weirdcase_constituents,
 )
-from strata_kit.cli import _Parser, parse_expression
+from strata_kit.expression import parse_expression, parse_identity
 from strata_kit.kgroup import (
     OpaqueDerivative,
     _add_term,
@@ -555,7 +555,7 @@ def test_parser_builds_what_the_constructors_build(node):
     parsed = parse_expression(text)
     assert parsed == element
     assert str(parsed) == str(element)
-    assert _Parser(f"Z{{}} = {text}").identity() == (ZClass(Multisegment()), element)
+    assert parse_identity(f"Z{{}} = {text}") == (ZClass(Multisegment()), element)
 
 
 # --------------------------------------------------------------------------

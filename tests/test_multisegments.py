@@ -27,8 +27,6 @@ from strata_kit import (
     top_minus,
 )
 
-from strata_kit.multisegments import _single
-
 from conftest import mseg, seg
 
 segments_st = st.builds(
@@ -169,7 +167,7 @@ class TestMultisegment:
 
     def test_single_segment_fast_path_builds_what_of_builds(self):
         for s in (seg(0, 0), seg(-3, 2, "s"), seg(1, 4, dim=2), seg(5, 6, period=3)):
-            fast, built = _single(s), Multisegment.of(s)
+            fast, built = Multisegment.single(s), Multisegment.of(s)
             assert (fast, fast.segments, fast._key) == (built, built.segments, built._key)
             assert (hash(fast), str(fast)) == (hash(built), str(built))
 
