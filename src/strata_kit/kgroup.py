@@ -34,6 +34,9 @@ Term = tuple
 
 # A ladder of more segments stays opaque: its determinant has k! terms.
 MAX_LADDER = 6
+# No product or derivative forms more products of terms than the complete
+# derivative of one such ladder, 6! * 2**6 = 46 080.
+MAX_PRODUCTS = math.factorial(MAX_LADDER) << MAX_LADDER
 
 
 class OpaqueDerivative(Keyed):
@@ -259,17 +262,18 @@ def _segment_table(atom: Multisegment) -> dict[int, dict[Term, int]]:
     return {0: {(atom,): 1}, d.dim: {lower: 1}}
 
 
-def term_derivative(term: Term, degree: Optional[int] = None) -> Optional[GradedVirtual]:
+def term_derivative(term: Term, degree: Optional[int] = None,
+                    limit: int = MAX_PRODUCTS) -> Optional[GradedVirtual]:
     """The graded derivative of a product of atoms, or None if unknown.
 
     D is the ring homomorphism given by the segment tables, applied to the
     product's expansion.  It is unknown when that holds an opaque atom, or
-    would form more products than the complete derivative of one ladder of
-    MAX_LADDER segments.  With ``degree`` given, only that layer is built.
+    would form more than ``limit`` products.  With ``degree`` given, only
+    that layer is built.
     """
     low, high = (0, math.inf) if degree is None else (degree, degree)
     expansion = expand(term)
-    limit = (math.factorial(MAX_LADDER) << MAX_LADDER) // len(expansion)
+    limit //= len(expansion)
     acc: dict[int, dict[Term, int]] = {}
     for t, coeff in expansion.items():
         if not all(map(_is_segment, t)):
@@ -357,8 +361,17 @@ def SegmentProduct(segments) -> GradedVirtual:
 
 
 def ProductExpr(factors) -> GradedVirtual:
-    """The graded product of elements (the Leibniz rule over their layers)."""
-    return _wrap(_leibniz(f.layers for f in factors))
+    """The graded product of elements (the Leibniz rule over their layers).
+
+    Raises ShapeError, before multiplying, when that would form more than
+    MAX_PRODUCTS products of terms.
+    """
+    tables = [f.layers for f in factors]
+    count = math.prod(sum(map(len, t.values())) for t in tables)
+    if count > MAX_PRODUCTS:
+        raise ShapeError(f"product of {len(tables)} factors would form {count} terms, "
+                         f"more than {MAX_PRODUCTS}")
+    return _wrap(_leibniz(tables))
 
 
 def SumExpr(terms) -> GradedVirtual:
@@ -375,16 +388,19 @@ def DerivativeExpr(degree: int, inner: GradedVirtual) -> GradedVirtual:
     """The degree-g derivative component of a degree-0 element, in degree 0.
 
     Terms with a class of unknown derivative become opaque placeholder atoms,
-    which later force an "unverifiable" verdict rather than a guess.
+    which later force an "unverifiable" verdict rather than a guess; so does
+    a term whose derivative would form more than its even share of
+    MAX_PRODUCTS products.
     """
     if degree < 0:
         raise ShapeError(f"derivative order must be >= 0, got {degree}")
     combo = _degree_zero(inner)
     if degree == 0:
         return inner
+    share = MAX_PRODUCTS // (len(combo) or 1)
     acc: dict[int, dict[Term, int]] = {}
     for term, coeff in combo.items():
-        graded = term_derivative(term, degree)
+        graded = term_derivative(term, degree, share)
         if graded is None:
             graded = _wrap({degree: {(OpaqueDerivative(_term_str(term), degree),): 1}})
         _add_layers(acc, graded.layers, coeff)

@@ -648,6 +648,42 @@ class TestExpand:
         (term,) = DerivativeExpr(9, m).layer(0)
         assert isinstance(term[0], OpaqueDerivative)
 
+    def test_products_of_sums_are_bounded_before_multiplying(self):
+        """A product may form at most 720 * 2^6 = 46 080 products of terms:
+        14 two-term factors (16 384) multiply out, 16 (65 536) are refused."""
+
+        def sums(n):
+            return [SumExpr([product(seg(3 * i, 3 * i)), product(seg(3 * i + 1, 3 * i + 1))])
+                    for i in range(n)]
+
+        x = ProductExpr(sums(14))
+        assert len(x.layer(0)) == 2 ** 14
+        assert str(check_identity(x, ZClass(mseg((0, 0))))) == "refuted at degree 0"
+        with pytest.raises(ShapeError, match="^product of 16 factors would form 65536 terms, "
+                                             "more than 46080$"):
+            ProductExpr(sums(16))
+        text = "*".join(f"(Z[{3 * i},{3 * i}]+Z[{3 * i + 1},{3 * i + 1}])" for i in range(14))
+        assert parse_expression(text) == x
+        with pytest.raises(ShapeError, match="product of 16 factors"):
+            parse_expression(f"{text}*(Z[42,42]+Z[43,43])*(Z[45,45]+Z[46,46])")
+
+    def test_derivative_limit_is_shared_across_a_combination(self):
+        """D^g of a combination gives each of its n terms 1/n of the limit,
+        so a term past its share stays unknown, while the same term alone
+        is differentiated."""
+        alone = product(*(seg(3 * i, 3 * i) for i in range(10)))
+        assert len(DerivativeExpr(5, alone).layer(0)) == math.comb(10, 5)
+        pairs = ProductExpr(
+            SumExpr([product(seg(3 * i, 3 * i)), product(seg(3 * i + 1, 3 * i + 1))])
+            for i in range(10)
+        )
+        layer = DerivativeExpr(5, pairs).layer(0)
+        assert len(layer) == 2 ** 10
+        assert all(isinstance(term[0], OpaqueDerivative) for term in layer)
+        # D^1 drops one factor's singleton, either of its two.
+        layer = DerivativeExpr(1, pairs).layer(0)
+        assert len(layer) == 10 * 2 ** 9 and set(layer.values()) == {2}
+
 
 @pytest.mark.parametrize("shift", range(7))
 def test_dropped_leibniz_term_is_refuted_at_every_shift(shift):

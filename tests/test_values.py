@@ -258,13 +258,19 @@ def test_partition_equality_is_parts_equality(p, q):
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
+    """The CLI loads neither module, and the package alone loads neither the
+    CLI nor the expression parser, whose token pattern costs start-up time."""
     src = str(Path(strata_kit.__file__).resolve().parent.parent)
-    code = "import sys, strata_kit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        text=True,
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    for module, unwanted in (
+        ("strata_kit.cli", ("dataclasses", "inspect")),
+        ("strata_kit", ("strata_kit.cli", "strata_kit.expression")),
+    ):
+        code = f"import sys, {module}; print(sorted({set(unwanted)!r} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", ""), module
