@@ -124,9 +124,9 @@ class GradedVirtual:
 
 
 def _wrap(layers: dict[int, dict[Term, int]]) -> GradedVirtual:
-    """Wrap layers whose terms are already merged, dropping empty layers."""
+    """Wrap new layers whose terms are already merged, dropping empty layers."""
     out = GradedVirtual.__new__(GradedVirtual)
-    out.layers = {g: combo for g, combo in layers.items() if combo}
+    out.layers = layers if all(layers.values()) else {g: c for g, c in layers.items() if c}
     return out
 
 
@@ -377,8 +377,8 @@ def ProductExpr(factors) -> GradedVirtual:
 def SumExpr(terms) -> GradedVirtual:
     """The sum of elements, degree by degree."""
     terms = iter(terms)
-    first = next(terms, GradedVirtual())
-    acc = {g: dict(combo) for g, combo in first.layers.items()}
+    first = next(terms, None)
+    acc = {g: dict(combo) for g, combo in first.layers.items()} if first is not None else {}
     for x in terms:
         _add_layers(acc, x.layers)
     return _wrap(acc)
