@@ -25,7 +25,8 @@ class CharParser:
         self.depth = 0
 
     def _fail(self, message: str, pos=None) -> None:
-        raise ExpressionSyntaxError(message, *line_column(self.src, self.pos if pos is None else pos))
+        pos = self.pos if pos is None else pos
+        raise ExpressionSyntaxError(message, *line_column(self.src, pos))
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.src) and self.src[self.pos].isspace():
