@@ -290,11 +290,14 @@ def term_derivative(term: Term, degree: Optional[int] = None,
 def total_derivative(x: GradedVirtual) -> GradedVirtual:
     """All graded derivative components of a degree-0 element.
 
-    Raises ShapeError when some term has a class with no known derivative.
+    Raises ShapeError when some term has a class with no known derivative,
+    or one that would form more than its even share of MAX_PRODUCTS products.
     """
+    combo = _degree_zero(x)
+    share = MAX_PRODUCTS // (len(combo) or 1)
     acc: dict[int, dict[Term, int]] = {}
-    for term, coeff in _degree_zero(x).items():
-        graded = term_derivative(term)
+    for term, coeff in combo.items():
+        graded = term_derivative(term, limit=share)
         if graded is None:
             raise ShapeError(f"no known derivative of {_term_str(term)}")
         _add_layers(acc, graded.layers, coeff)

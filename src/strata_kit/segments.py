@@ -177,11 +177,12 @@ SegmentLike = Union[Segment, EmptySegment]
 
 
 def support(seg: Segment) -> Counter:
-    """Multiset of (line_id, reduced twist) pairs covered by the segment."""
+    """Multiset of (base label, reduced twist) pairs covered by the segment;
+    lines of one name but another dim or period share no point."""
     if seg.is_empty:
         raise ShapeError("support of the empty segment is undefined")
     c = seg.cuspidal
-    return Counter((c.line_id, c.reduce(t)) for t in range(seg.a, seg.b + 1))
+    return Counter((c, c.reduce(t)) for t in range(seg.a, seg.b + 1))
 
 
 class Relation(Value):

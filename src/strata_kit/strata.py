@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Set
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, ShapeError, WeightMismatchError, WraparoundError, expect
@@ -293,14 +292,15 @@ def _next_permutation(tokens: list, lo: int, hi: int) -> bool:
     return i >= lo
 
 
-class Orbit(Value, Set):
+class Orbit(Value):
     """The twist tokens of one point of a stratum component.
 
     It is the orbit of a token tuple under the product of symmetric groups
     that permute each block of inertially equal segments, the variable
     blocks of ring_presentation.  Only the class and the canonical tokens,
     sorted within each block, are stored; members are computed on demand.
-    As a set of tuples it equals, and hashes as, the frozenset of its members.
+    Orbits are equal when those two fields are, so exactly when they map to
+    the same multisegment; ``in``, ``len`` and iteration read the members.
     """
 
     __slots__ = ("cls", "canonical")
@@ -310,22 +310,6 @@ class Orbit(Value, Set):
         if len(canonical) != sum(cls.orbit_sizes):
             raise ShapeError(f"expected {sum(cls.orbit_sizes)} tokens, got {len(canonical)}")
         self._init(cls, _canonical(cls.orbit_sizes, canonical))
-
-    def __eq__(self, other: object):
-        """Set equality; O(k) between orbits whose blocks have equal sizes.
-
-        Such orbits are equal sets exactly when their canonical tokens are
-        equal.  Otherwise a block of equal tokens can spell one set two ways,
-        so the members are compared.
-        """
-        if other.__class__ is Orbit and other.cls.orbit_sizes == self.cls.orbit_sizes:
-            return self.canonical == other.canonical
-        return Set.__eq__(self, other)
-
-    # Set's frozenset-compatible hash, not Value's field-wise one.
-    __hash__ = Set._hash
-    # Set operators (&, |, -, ^) build a frozenset; an Orbit needs its class.
-    _from_iterable = frozenset
 
     def __contains__(self, tokens: object) -> bool:
         if not isinstance(tokens, tuple) or len(tokens) != len(self.canonical):

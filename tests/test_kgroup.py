@@ -684,6 +684,21 @@ class TestExpand:
         layer = DerivativeExpr(1, pairs).layer(0)
         assert len(layer) == 10 * 2 ** 9 and set(layer.values()) == {2}
 
+    def test_total_derivative_shares_the_limit_across_a_combination(self):
+        """Each of the 2^n terms of a product of n two-term sums may form
+        46 080 / 2^n products and forms 2^n: 7 sums fit, 8 do not."""
+
+        def pairs(n):
+            return ProductExpr(
+                SumExpr([product(seg(3 * i, 3 * i)), product(seg(3 * i + 1, 3 * i + 1))])
+                for i in range(n)
+            )
+
+        total = total_derivative(pairs(7))
+        assert sum(map(len, total.layers.values())) == 3 ** 7 == 2187
+        with pytest.raises(ShapeError, match="^no known derivative of "):
+            total_derivative(pairs(8))
+
 
 @pytest.mark.parametrize("shift", range(7))
 def test_dropped_leibniz_term_is_refuted_at_every_shift(shift):

@@ -353,7 +353,7 @@ class TestInertialClass:
         cls = InertialClass(rep)
         assert cls == inertial_class(rep) == InertialClass(rep, (2,))
         assert cls.orbit_sizes == (2,) and cls.weyl_order() == 2
-        assert Orbit(cls, (0, 1)) == frozenset({(0, 1), (1, 0)})
+        assert set(Orbit(cls, (0, 1))) == {(0, 1), (1, 0)}
         for rep in [
             Multisegment(),
             mseg((0, 1), (0, 1), (0, 0)),
@@ -417,6 +417,24 @@ class TestEnumerateWithSupport:
         for m in out:
             assert mw_dual(m) == brute_force_mw_dual(m)
             assert lambda_of(m) == brute_force_lambda(m)
+
+    @given(st.lists(
+        st.builds(
+            lambda line, a, length: seg(a, a + length - 1, *line),
+            st.sampled_from([("r", 1), ("r", 2), ("s", 1)]),
+            st.integers(-2, 2),
+            st.integers(1, 3),
+        ),
+        max_size=4,
+    ).map(lambda xs: Multisegment.of(*xs)).filter(lambda m: sum(m.support().values()) <= 8))
+    def test_each_multisegment_is_enumerated_from_its_support(self, m):
+        """Lines of one name and another dim keep apart in the support."""
+        points = [
+            CuspidalLabel(c.line_id, c.dim, twist=t)
+            for (c, t), count in m.support().items()
+            for _ in range(count)
+        ]
+        assert m in enumerate_with_support(points)
 
     def test_wraparound_rejected(self):
         with pytest.raises(WraparoundError):

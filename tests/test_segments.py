@@ -64,11 +64,24 @@ class TestSegment:
 
 class TestSupport:
     def test_infinite(self):
-        assert support(seg(0, 2)) == Counter({("r", 0): 1, ("r", 1): 1, ("r", 2): 1})
+        r = CuspidalLabel("r")
+        assert support(seg(0, 2)) == Counter({(r, 0): 1, (r, 1): 1, (r, 2): 1})
 
     def test_wraparound(self):
-        assert support(seg(0, 2, period=2)) == Counter({("r", 0): 2, ("r", 1): 1})
-        assert support(seg(3, 3, period=2)) == Counter({("r", 1): 1})
+        r2 = CuspidalLabel("r", period=2)
+        assert support(seg(0, 2, period=2)) == Counter({(r2, 0): 2, (r2, 1): 1})
+        assert support(seg(3, 3, period=2)) == Counter({(r2, 1): 1})
+
+    def test_lines_of_one_name_share_no_point(self):
+        """A point is keyed by its whole line: name, dim and period."""
+        lines = [seg(0, 1), seg(0, 1, dim=2), seg(0, 1, period=5), seg(0, 1, line_id="s")]
+        for s, t in itertools.combinations(lines, 2):
+            assert support(s) != support(t)
+            assert not set(support(s)) & set(support(t))
+        r1, r2 = CuspidalLabel("r", 1), CuspidalLabel("r", 2)
+        assert Multisegment.of(Segment(r1, 0, 0)).support() != Multisegment.of(
+            Segment(r2, 0, 0)
+        ).support()
 
     def test_multiplicity_above_one_iff_long(self):
         for a in range(3):

@@ -145,6 +145,14 @@ def test_repr_unchanged(value, field, text):
 
 
 def test_values_never_equal_tuples():
+    """No value equals its field tuple, its key, or the frozenset of what it
+    iterates over, from either side."""
+    for value, _, _ in VALUES:
+        builtins = [value._values(), getattr(value, "_key", ())]
+        if hasattr(value, "__iter__"):
+            builtins.append(frozenset(value))
+        for builtin in builtins:
+            assert value != builtin and builtin != value
     assert Partition((1,)) != (1,)
     assert (1,) != Partition((1,))
     s = Segment(R, 0, 1)
