@@ -22,6 +22,7 @@ from .partitions import (
 from .segments import (
     EMPTY_SEGMENT,
     CuspidalLabel,
+    CuspidalLine,
     EmptySegment,
     Relation,
     Segment,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 
-from .errors import (BudgetExceededError, InputError, StrataKitError, expect, line_column,
-                     too_many_digits)
+from .errors import (BudgetExceededError, InputError, ShapeError, StrataKitError, expect,
+                     line_column, too_many_digits)
 # parse_expression is re-exported: criterion 7 imports it from here.
 from .expression import MAX_NESTING, parse_expression, parse_identity  # noqa: F401
 from .kgroup import check_identity
@@ -31,7 +32,7 @@ from .multisegments import (
     mw_dual,
 )
 from .partitions import Partition
-from .segments import CuspidalLabel
+from .segments import CuspidalLabel, CuspidalLine
 from .strata import (
     DEFAULT_COMPONENT_BOUND,
     BlockSpec,
@@ -182,11 +183,16 @@ def _cmd_ring(args) -> None:
 
 
 def _cmd_ext(args) -> None:
-    if args.r is not None:
-        dims = ext_dimensions(args.r)
-    else:
-        dims = ext_dimensions(_load_multisegment(args.mseg))
-    _emit(args, _render(args, dims))
+    r = args.r if args.r is not None else len(_load_multisegment(args.mseg))
+    # The row's largest entry, C(r, r // 2), must print within the digit limit;
+    # 2**r / (r + 1) <= C(r, r // 2) < 2**r, so only r near log2(top) needs C.
+    limit = sys.get_int_max_str_digits()
+    top = 10 ** limit  # the least integer with more than ``limit`` digits
+    if limit and r >= top.bit_length() and (
+        r >= top.bit_length() + r.bit_length() or math.comb(r, r // 2) >= top
+    ):
+        raise ShapeError(f"C({r}, {r // 2}) cannot print: {too_many_digits()}")
+    _emit(args, _render(args, ext_dimensions(r)))
 
 
 def _cmd_kgroup_check(args) -> None:
@@ -197,9 +203,8 @@ def _cmd_kgroup_check(args) -> None:
 def _support_point(entry, where: str) -> CuspidalLabel:
     """A line object with a ``twist`` field, or a ``[line, twist]`` pair."""
     if isinstance(entry, dict):
-        line = CuspidalLabel.from_json(entry, where)
-        twist = expect(entry.get("twist"), int, f"{where}.twist")
-        return CuspidalLabel(line.line_id, line.dim, line.period, twist)
+        line = CuspidalLine.from_json(entry, where)
+        return line.point(expect(entry.get("twist"), int, f"{where}.twist"))
     if isinstance(entry, list) and len(entry) == 2:
         line_id = expect(entry[0], str, f"{where}[0]")
         return CuspidalLabel(line_id, twist=expect(entry[1], int, f"{where}[1]"))

@@ -15,7 +15,7 @@ import re
 from .errors import InputError, StrataKitError, line_column, too_many_digits
 from .kgroup import DerivativeExpr, GradedVirtual, ProductExpr, SegmentProduct, SumExpr, ZClass
 from .multisegments import Multisegment
-from .segments import CuspidalLabel, Segment
+from .segments import CuspidalLine, Segment
 
 DEFAULT_LINE_ID = "r"
 # Brackets may nest this deep in an expression; a JSON input that nests too
@@ -111,7 +111,7 @@ class _Parser:
 
     def _make_segment(self, line_id: str, a: int, b: int, bracket: int) -> Segment:
         try:
-            return Segment(CuspidalLabel(line_id), a, b)
+            return Segment(CuspidalLine(line_id), a, b)
         except StrataKitError as exc:
             raise self._error(str(exc), bracket) from None
 

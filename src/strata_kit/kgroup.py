@@ -299,7 +299,10 @@ def total_derivative(x: GradedVirtual) -> GradedVirtual:
     for term, coeff in combo.items():
         graded = term_derivative(term, limit=share)
         if graded is None:
-            raise ShapeError(f"no known derivative of {_term_str(term)}")
+            if not all(all(map(_is_segment, t)) for t in expand(term)):
+                raise ShapeError(f"no known derivative of {_term_str(term)}")
+            raise ShapeError(f"derivative of {_term_str(term)} would form more than {share} "
+                             f"products, its share of {MAX_PRODUCTS} among {len(combo)} terms")
         _add_layers(acc, graded.layers, coeff)
     return _wrap(acc)
 

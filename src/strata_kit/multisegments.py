@@ -19,6 +19,7 @@ from .partitions import Partition
 from .segments import (
     EMPTY_SEGMENT,
     CuspidalLabel,
+    CuspidalLine,
     Segment,
     SegmentLike,
     linked,
@@ -262,7 +263,7 @@ def mw_dual(m: Multisegment) -> Multisegment:
     """The Zelevinsky-dual multisegment, computed by maximal-chain peeling."""
     if not m.infinite_period:
         raise WraparoundError("the involution is undefined with wraparound")
-    by_line: dict[CuspidalLabel, list[Segment]] = {}
+    by_line: dict[CuspidalLine, list[Segment]] = {}
     for s in m.segments:
         by_line.setdefault(s.cuspidal, []).append(s)
     dual: list[Segment] = []
@@ -337,10 +338,9 @@ def enumerate_with_support(
         raise BudgetExceededError(
             f"support size bound {bound} exceeded: the support has {len(pts)} points"
         )
-    if any(p.period is not None for p in pts):
+    if any(p.line.period is not None for p in pts):
         raise WraparoundError("support enumeration undefined with wraparound")
-    remaining: Counter = Counter((p.line_id, p.dim, p.twist) for p in pts)
-    lines = {(p.line_id, p.dim): CuspidalLabel(p.line_id, p.dim) for p in pts}
+    remaining: Counter = Counter((p.line, p.twist) for p in pts)
     results: list[Multisegment] = []
     acc: list[Segment] = []
 
@@ -351,13 +351,12 @@ def enumerate_with_support(
         if not remaining:
             results.append(Multisegment(tuple(acc)))
             return
-        top = max(remaining)
-        line_id, dim, t = top
-        line = lines[line_id, dim]
+        top = max(remaining, key=lambda p: (p[0]._key, p[1]))
+        line, t = top
         lowest = prev_start if top == prev_top else t
         a = t
-        while remaining[line_id, dim, a]:
-            point = (line_id, dim, a)
+        while remaining[line, a]:
+            point = (line, a)
             remaining[point] -= 1
             if not remaining[point]:
                 del remaining[point]
@@ -366,7 +365,7 @@ def enumerate_with_support(
                 rec(top, a)
                 acc.pop()
             a -= 1
-        remaining.update((line_id, dim, u) for u in range(a + 1, t + 1))
+        remaining.update((line, u) for u in range(a + 1, t + 1))
 
     rec(None, 0)
     return sorted(results, key=str)

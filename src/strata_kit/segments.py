@@ -1,12 +1,11 @@
-"""Cuspidal lines and Zelevinsky segments.
+"""Cuspidal lines, their points and Zelevinsky segments.
 
 A cuspidal line is an opaque label (an inertial class of cuspidal
-representations) with a dimension and an optional finite twist period e;
-points on the line are integer twist exponents, reduced mod e when e is
-finite.  A segment [a, b] on a line is the string of consecutive twists
-a, a+1, ..., b.  Twists are always stored in absolute coordinates relative
-to the line's fixed base point, so equivalence of segments is structural
-equality.
+representations) with a dimension and an optional finite twist period e; a
+point is a line and an integer twist exponent, reduced mod e when e is finite.
+A segment [a, b] on a line is the string of consecutive twists a, ..., b,
+stored in absolute coordinates relative to the line's fixed base point, so
+equivalence of segments is structural equality.
 """
 
 from __future__ import annotations
@@ -18,47 +17,43 @@ from .errors import ShapeError, WraparoundError, expect
 from .values import Keyed, Value, set_key, slot_setters
 
 
-class CuspidalLabel(Keyed):
-    """A point on a cuspidal line: the base representation twisted ``twist`` times.
+class CuspidalLine(Keyed):
+    """A cuspidal line, the inertial class of a cuspidal representation.  ``period``
+    is None for an infinite twist orbit and e when the twist action has order e."""
 
-    ``period`` is None for a line with infinite twist orbit and a positive
-    integer e when the twist action has order e; in the latter case the
-    twist is stored reduced mod e.
-    """
+    __slots__ = ("line_id", "dim", "period")
 
-    __slots__ = ("line_id", "dim", "period", "twist")
-
-    def __init__(
-        self, line_id: str, dim: int = 1, period: Optional[int] = None, twist: int = 0
-    ) -> None:
+    def __init__(self, line_id: str, dim: int = 1, period: Optional[int] = None) -> None:
         if dim < 1:
             raise ShapeError("cuspidal dimension must be >= 1")
-        if period is not None:
-            if period < 1:
-                raise ShapeError("twist period must be >= 1")
-            twist %= period
+        if period is not None and period < 1:
+            raise ShapeError("twist period must be >= 1")
         _set_line_id(self, line_id)
         _set_dim(self, dim)
         _set_period(self, period)
-        _set_twist(self, twist)
-        set_key(self, (line_id, dim, period is not None, period or 0, twist))
+        set_key(self, (line_id, dim, period is not None, period or 0))
 
     @property
     def infinite_period(self) -> bool:
         return self.period is None
 
-    def base(self) -> "CuspidalLabel":
-        """The distinguished base point of this line (twist 0)."""
-        return CuspidalLabel(self.line_id, self.dim, self.period)
-
     def reduce(self, t: int) -> int:
         """Reduce an absolute twist exponent mod the period."""
         return t if self.period is None else t % self.period
 
+    def point(self, twist: int) -> "CuspidalLabel":
+        """This line's base representation twisted ``twist`` times."""
+        p = object.__new__(CuspidalLabel)
+        p._init(self, self.reduce(twist))
+        return p
+
+    def to_json(self) -> dict:
+        return {"line": self.line_id, "dim": self.dim, "period": self.period}
+
     @classmethod
-    def from_json(cls, data, where: str) -> "CuspidalLabel":
-        """The base point of the line named by an object's ``line``, ``dim``
-        and ``period`` fields; ``where`` is the object's path."""
+    def from_json(cls, data, where: str) -> "CuspidalLine":
+        """The line named by an object's ``line``, ``dim`` and ``period``
+        fields; ``where`` is the object's path."""
         return cls(
             expect(expect(data, dict, where).get("line"), str, f"{where}.line"),
             expect(data.get("dim", 1), int, f"{where}.dim"),
@@ -66,7 +61,20 @@ class CuspidalLabel(Keyed):
         )
 
 
-_set_line_id, _set_dim, _set_period, _set_twist = slot_setters(CuspidalLabel)
+_set_line_id, _set_dim, _set_period = slot_setters(CuspidalLine)
+
+
+class CuspidalLabel(Value):
+    """A point on a cuspidal line, built by :meth:`CuspidalLine.point` or
+    from the line's fields and the twist."""
+
+    __slots__ = ("line", "twist")
+
+    def __new__(cls, line_id: str, dim: int = 1, period: Optional[int] = None, twist: int = 0):
+        return CuspidalLine(line_id, dim, period).point(twist)
+
+    def __reduce__(self):
+        return (self.line.point, (self.twist,))
 
 
 class EmptySegment:
@@ -94,8 +102,7 @@ EMPTY_SEGMENT = EmptySegment()
 class Segment(Keyed):
     """The segment [a, b] on a cuspidal line, with b >= a in absolute twists.
 
-    A nonzero twist on the label is folded into the endpoints at
-    construction, so the stored label is always the line's base point; on a
+    It stores the line; a point's twist is folded into the endpoints.  On a
     line of finite period e the start is then reduced into [0, e), so that
     equivalent segments compare equal.  The key is :meth:`sort_key`.
     """
@@ -104,18 +111,18 @@ class Segment(Keyed):
 
     is_empty = False
 
-    def __init__(self, cuspidal: CuspidalLabel, a: int, b: int) -> None:
+    def __init__(self, cuspidal: Union[CuspidalLine, CuspidalLabel], a: int, b: int) -> None:
         if b < a:
             raise ShapeError(f"segment needs b >= a, got [{a},{b}]")
         c = cuspidal
-        if c.twist != 0 or c.period is not None:
-            start = c.reduce(a + c.twist)
-            a, b = start, b + start - a
-            c = c.base()
+        if c.__class__ is CuspidalLabel:
+            c, a, b = c.line, a + c.twist, b + c.twist
+        if c.period is not None:
+            a, b = a % c.period, b - a + a % c.period
         _set_cuspidal(self, c)
         _set_a(self, a)
         _set_b(self, b)
-        set_key(self, (c.line_id, c.dim, c.period is not None, c.period or 0, -b, a))
+        set_key(self, c._key + (-b, a))
 
     @property
     def length(self) -> int:
@@ -152,13 +159,7 @@ class Segment(Keyed):
         return f"[{self.a},{self.b}]_{self.line_id}"
 
     def to_json(self) -> dict:
-        return {
-            "line": self.line_id,
-            "dim": self.dim,
-            "period": self.cuspidal.period,
-            "a": self.a,
-            "b": self.b,
-        }
+        return {**self.cuspidal.to_json(), "a": self.a, "b": self.b}
 
     @classmethod
     def from_json(cls, data, where: str = "") -> "SegmentLike":
@@ -166,7 +167,7 @@ class Segment(Keyed):
         ``where`` is its path."""
         if expect(data, dict, where).get("empty"):
             return EMPTY_SEGMENT
-        line = CuspidalLabel.from_json(data, where)
+        line = CuspidalLine.from_json(data, where)
         a = expect(data.get("a"), int, f"{where}.a")
         return cls(line, a, expect(data.get("b"), int, f"{where}.b"))
 
@@ -177,7 +178,7 @@ SegmentLike = Union[Segment, EmptySegment]
 
 
 def support(seg: Segment) -> Counter:
-    """Multiset of (base label, reduced twist) pairs covered by the segment;
+    """Multiset of (line, reduced twist) points covered by the segment;
     lines of one name but another dim or period share no point."""
     if seg.is_empty:
         raise ShapeError("support of the empty segment is undefined")

@@ -17,25 +17,25 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .errors import BudgetExceededError, ShapeError, WeightMismatchError, WraparoundError, expect
 from .multisegments import InertialClass, Multisegment, inertial_class, lambda_of
 from .partitions import Partition, conjugate, dominance_leq
-from .segments import CuspidalLabel, Segment
+from .segments import CuspidalLabel, CuspidalLine, Segment
 from .values import Value
 
 DEFAULT_COMPONENT_BOUND = 10000
 
 
 class BlockSpec(Value):
-    """A finite family of cuspidal lines and a total degree to stratify."""
+    """Cuspidal lines (a point stands for its line) and a total degree to stratify."""
 
     __slots__ = ("lines", "n")
 
-    def __init__(self, lines: tuple[CuspidalLabel, ...], n: int) -> None:
+    def __init__(self, lines: tuple[Union[CuspidalLine, CuspidalLabel], ...], n: int) -> None:
         if n < 1:
             raise ShapeError("total degree must be >= 1")
         if not lines:
             raise ShapeError("block needs at least one cuspidal line")
-        bases = [line.base() for line in lines]
-        for i, line in enumerate(bases):
-            if line in bases[:i]:
+        lines = tuple(line.line if line.__class__ is CuspidalLabel else line for line in lines)
+        for i, line in enumerate(lines):
+            if line in lines[:i]:
                 raise ShapeError(
                     f"block repeats the cuspidal line {line.line_id} "
                     f"(dim {line.dim}, period {line.period})"
@@ -51,7 +51,7 @@ class BlockSpec(Value):
         """Decode ``{"lines": [...], "n": ...}``; ``where`` is its path, empty at the root."""
         lines = expect(expect(data, dict, where).get("lines"), list, f"{where}.lines")
         return cls(
-            tuple(CuspidalLabel.from_json(d, f"{where}.lines[{i}]") for i, d in enumerate(lines)),
+            tuple(CuspidalLine.from_json(d, f"{where}.lines[{i}]") for i, d in enumerate(lines)),
             expect(data.get("n"), int, f"{where}.n"),
         )
 
@@ -211,7 +211,7 @@ def components(
         raise WeightMismatchError("incomparable weights")
     if not block.infinite_period:
         raise WraparoundError("component enumeration undefined with wraparound")
-    lines = sorted(block.lines, key=lambda l: (l.line_id, l.dim))
+    lines = sorted(block.lines, key=lambda line: line._key)
     dims = [line.dim for line in lines]
     counts = [lam.part(length) - lam.part(length + 1) for length in range(1, lam.length + 1)]
     tables = [_split_counts(count, dims) for count in counts]
@@ -348,7 +348,7 @@ def multisegment_to_orbit(m: Multisegment) -> tuple[InertialClass, Orbit]:
         raise WraparoundError("bijection undefined with wraparound")
     cls = inertial_class(m)
     # The representative's order: by line, then longest first.
-    by_block = sorted(m.segments, key=lambda s: (s.sort_key()[:4], s.a - s.b))
+    by_block = sorted(m.segments, key=lambda s: (s.cuspidal._key, s.a - s.b))
     return cls, Orbit(cls, [s.a for s in by_block])
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import strata_kit
 
 from strata_kit.cli import run
+from strata_kit.strata import ext_dimensions
 
 from test_expression import identity_text_st
 
@@ -72,6 +74,35 @@ class TestVerbs:
         assert (code, out) == (0, "[1,3,3,1]\n")
         code, out, _ = invoke(capsys, "ext", "--mseg", MSEG_PAIR)
         assert (code, out) == (0, "[1,2,1]\n")
+
+    def test_ext_row_past_the_digit_limit(self, capsys):
+        """A row whose middle entry C(r, r // 2) has more digits than an
+        integer may print is refused at once, exactly where printing fails."""
+        assert invoke(capsys, "ext", "--r", str(10 ** 9)) == (
+            1, "", "error: C(1000000000, 500000000) cannot print: "
+            "integer has more than 4300 digits\n",
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # 10**640 has 2127 bits: below 2127 no row is refused, from 2139
+            # on every row is, and in between C(r, r // 2) itself decides.
+            for r in (2126, 2127, 2131, 2132, 2138, 2139):
+                code, out, err = invoke(capsys, "ext", "--r", str(r), "--format", "table")
+                if r < 2132:
+                    assert (code, err) == (0, "")
+                    assert out == " ".join(map(str, ext_dimensions(r))) + "\n"
+                else:
+                    assert (code, out, err) == (1, "", f"error: C({r}, {r // 2}) cannot print: "
+                                                       "integer has more than 640 digits\n")
+                    with pytest.raises(ValueError):
+                        str(math.comb(r, r // 2))
+            mseg = json.dumps({"segments": [{"line": "r", "a": 0, "b": 0}] * 2132})
+            assert invoke(capsys, "ext", "--mseg", mseg) == (
+                1, "", "error: C(2132, 1066) cannot print: integer has more than 640 digits\n"
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_kgroup_check(self, capsys):
         code, out, _ = invoke(

@@ -40,7 +40,7 @@ msegs_st = st.lists(segments_st, max_size=4).map(lambda xs: Multisegment.of(*xs)
 def brute_force_enumerate_with_support(points):
     """The set-based oracle: every ordering of the segments is generated and
     the duplicates are dropped by a set."""
-    remaining = Counter((p.base(), p.twist) for p in points)
+    remaining = Counter((p.line, p.twist) for p in points)
     results = set()
 
     def rec(rem, acc):

@@ -6,6 +6,7 @@ import pytest
 from strata_kit import (
     EMPTY_SEGMENT,
     CuspidalLabel,
+    CuspidalLine,
     Multisegment,
     Segment,
     ShapeError,
@@ -44,7 +45,7 @@ class TestSegment:
     def test_twist_folds_into_endpoints(self):
         s = Segment(CuspidalLabel("r", twist=3), 0, 1)
         assert (s.a, s.b) == (3, 4)
-        assert s.cuspidal.twist == 0
+        assert s.cuspidal == CuspidalLine("r")
 
     def test_validation(self):
         with pytest.raises(ShapeError):
@@ -64,11 +65,11 @@ class TestSegment:
 
 class TestSupport:
     def test_infinite(self):
-        r = CuspidalLabel("r")
+        r = CuspidalLine("r")
         assert support(seg(0, 2)) == Counter({(r, 0): 1, (r, 1): 1, (r, 2): 1})
 
     def test_wraparound(self):
-        r2 = CuspidalLabel("r", period=2)
+        r2 = CuspidalLine("r", period=2)
         assert support(seg(0, 2, period=2)) == Counter({(r2, 0): 2, (r2, 1): 1})
         assert support(seg(3, 3, period=2)) == Counter({(r2, 1): 1})
 

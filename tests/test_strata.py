@@ -9,6 +9,7 @@ from strata_kit import (
     BlockSpec,
     BudgetExceededError,
     CuspidalLabel,
+    CuspidalLine,
     InertialClass,
     InvariantRingPresentation,
     Multisegment,
@@ -39,7 +40,7 @@ def brute_force_components(block):
     """Oracle: every inertial class of degree block.n over the block's lines,
     sorted by representative; a stratum keeps those whose lambda matches."""
     items = [
-        (line.base(), length)
+        (line, length)
         for line in sorted(block.lines, key=lambda l: (l.line_id, l.dim))
         for length in range(1, block.n // line.dim + 1)
     ]
@@ -307,9 +308,18 @@ class TestBlockSpec:
         with pytest.raises(ShapeError, match="repeats"):
             BlockSpec((CuspidalLabel("r", 2, 3), CuspidalLabel("r", 2, 3, twist=1)), 3)
 
+    def test_twisted_point_stands_for_its_line(self):
+        """A block given a twisted point is the block of its line, so its
+        classes start at twist 0 like the untwisted block's."""
+        lam = Partition.of(2, 1)
+        twisted = BlockSpec((CuspidalLabel("r", twist=2),), 3)
+        assert twisted == BlockSpec((CuspidalLabel("r", twist=5),), 3)
+        assert twisted == BlockSpec((CuspidalLine("r"),), 3)
+        assert components(twisted, lam) == components(BlockSpec((CuspidalLabel("r"),), 3), lam)
+
     def test_same_id_other_dim_or_period_distinct(self):
         lines = (CuspidalLabel("r"), CuspidalLabel("r", 2), CuspidalLabel("r", 1, 3))
-        assert BlockSpec(lines, 3).lines == lines
+        assert BlockSpec(lines, 3).lines == tuple(point.line for point in lines)
         rep = components(BlockSpec(lines[:2], 3), Partition.of(3))
         dims = [[s.dim for s in c.representative] for c, _ in rep.components]
         assert dims == [[1, 1, 1], [1, 2]]

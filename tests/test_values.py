@@ -19,6 +19,7 @@ import strata_kit
 from strata_kit import (
     BlockSpec,
     CuspidalLabel,
+    CuspidalLine,
     InertialClass,
     InvariantRingPresentation,
     Multisegment,
@@ -40,11 +41,12 @@ RING = InvariantRingPresentation(("X1",), (("X1",),), ("X1",), ("X1",))
 
 # (value, one of its fields, its repr as the frozen dataclass printed it)
 VALUES = [
-    (S3, "twist", "CuspidalLabel(line_id='s', dim=2, period=3, twist=1)"),
+    (S3.line, "period", "CuspidalLine(line_id='s', dim=2, period=3)"),
+    (S3, "twist", "CuspidalLabel(line=CuspidalLine(line_id='s', dim=2, period=3), twist=1)"),
     (
         Segment(S3, 1, 2),
         "a",
-        "Segment(cuspidal=CuspidalLabel(line_id='s', dim=2, period=3, twist=0), a=2, b=3)",
+        "Segment(cuspidal=CuspidalLine(line_id='s', dim=2, period=3), a=2, b=3)",
     ),
     (
         relate(Segment(R, 0, 1), Segment(R, 1, 2)),
@@ -55,35 +57,35 @@ VALUES = [
     (
         Multisegment.of(Segment(R, 0, 1), Segment(S3, 1, 1)),
         "segments",
-        "Multisegment(segments=(Segment(cuspidal=CuspidalLabel(line_id='r', dim=1, "
-        "period=None, twist=0), a=0, b=1), Segment(cuspidal=CuspidalLabel(line_id='s', "
-        "dim=2, period=3, twist=0), a=2, b=2)))",
+        "Multisegment(segments=(Segment(cuspidal=CuspidalLine(line_id='r', dim=1, "
+        "period=None), a=0, b=1), Segment(cuspidal=CuspidalLine(line_id='s', "
+        "dim=2, period=3), a=2, b=2)))",
     ),
     (
         downset(Multisegment.of(Segment(R, 0, 0))),
         "edges",
-        "Poset(nodes=(Multisegment(segments=(Segment(cuspidal=CuspidalLabel(line_id='r', "
-        "dim=1, period=None, twist=0), a=0, b=0),)),), edges=())",
+        "Poset(nodes=(Multisegment(segments=(Segment(cuspidal=CuspidalLine(line_id='r', "
+        "dim=1, period=None), a=0, b=0),)),), edges=())",
     ),
     (
         CLASS,
         "orbit_sizes",
         "InertialClass(representative=Multisegment(segments=(Segment(cuspidal="
-        "CuspidalLabel(line_id='r', dim=1, period=None, twist=0), a=0, b=1),)), "
+        "CuspidalLine(line_id='r', dim=1, period=None), a=0, b=1),)), "
         "orbit_sizes=(1,))",
     ),
     (
         Orbit(CLASS, [3]),
         "canonical",
         "Orbit(cls=InertialClass(representative=Multisegment(segments=(Segment(cuspidal="
-        "CuspidalLabel(line_id='r', dim=1, period=None, twist=0), a=0, b=1),)), "
+        "CuspidalLine(line_id='r', dim=1, period=None), a=0, b=1),)), "
         "orbit_sizes=(1,)), canonical=(3,))",
     ),
     (Partition.of(2, 1), "parts", "Partition(parts=(2, 1))"),
     (
         BlockSpec((R,), 3),
         "n",
-        "BlockSpec(lines=(CuspidalLabel(line_id='r', dim=1, period=None, twist=0),), n=3)",
+        "BlockSpec(lines=(CuspidalLine(line_id='r', dim=1, period=None),), n=3)",
     ),
     (
         RING,
@@ -95,8 +97,8 @@ VALUES = [
         StratumReport(Partition.of(1), ((CLASS, RING),)),
         "lam",
         "StratumReport(lam=Partition(parts=(1,)), components=((InertialClass("
-        "representative=Multisegment(segments=(Segment(cuspidal=CuspidalLabel("
-        "line_id='r', dim=1, period=None, twist=0), a=0, b=1),)), orbit_sizes=(1,)), "
+        "representative=Multisegment(segments=(Segment(cuspidal=CuspidalLine("
+        "line_id='r', dim=1, period=None), a=0, b=1),)), orbit_sizes=(1,)), "
         "InvariantRingPresentation(variables=('X1',), orbits=(('X1',),), "
         "generators=('X1',), units=('X1',))),))",
     ),
@@ -164,6 +166,7 @@ def test_values_never_equal_tuples():
 
 def test_constructor_keywords_and_defaults():
     assert CuspidalLabel(line_id="r") == CuspidalLabel("r", 1, None, 0)
+    assert CuspidalLine(line_id="r") == CuspidalLine("r", 1, None) == R.line
     assert Segment(cuspidal=R, a=0, b=1) == Segment(R, 0, 1)
     assert Multisegment() == Multisegment(segments=())
     assert Partition() == Partition(parts=[])
@@ -201,12 +204,16 @@ segments_st = st.builds(
 )
 
 
+def line_fields(line):
+    return (line.line_id, line.dim, line.period)
+
+
 def label_fields(c):
-    return (c.line_id, c.dim, c.period, c.twist)
+    return line_fields(c.line) + (c.twist,)
 
 
 def segment_fields(s):
-    return (label_fields(s.cuspidal), s.a, s.b)
+    return (line_fields(s.cuspidal), s.a, s.b)
 
 
 def dataclass_sort_key(s):
@@ -216,17 +223,27 @@ def dataclass_sort_key(s):
 
 def equivalent_segments(c1, a1, n1, c2, a2, n2):
     """Same line and length, and starts equal after the twist (mod the period)."""
-    if (c1.line_id, c1.dim, c1.period, n1) != (c2.line_id, c2.dim, c2.period, n2):
+    if line_fields(c1.line) + (n1,) != line_fields(c2.line) + (n2,):
         return False
     start1, start2 = a1 + c1.twist, a2 + c2.twist
-    return start1 == start2 if c1.period is None else (start1 - start2) % c1.period == 0
+    period = c1.line.period
+    return start1 == start2 if period is None else (start1 - start2) % period == 0
 
 
 @given(labels_st, labels_st)
 def test_label_equality_is_field_equality(x, y):
     assert (x == y) == (label_fields(x) == label_fields(y))
     assert x != y or hash(x) == hash(y)
-    assert x.base() == CuspidalLabel(x.line_id, x.dim, x.period)
+    assert x.line == CuspidalLine(*line_fields(x.line)) == CuspidalLabel(*line_fields(x.line)).line
+    assert x == x.line.point(x.twist) == CuspidalLabel(*label_fields(x))
+
+
+@given(labels_st, st.integers(-4, 4), st.integers(0, 3), st.integers(1, 6))
+def test_a_point_stands_for_its_line_and_twist(p, a, n, degree):
+    """A segment on a point is the segment on its line moved by the twist,
+    and a block given a point is the block of its line."""
+    assert Segment(p, a, a + n) == Segment(p.line, a + p.twist, a + n + p.twist)
+    assert BlockSpec((p,), degree) == BlockSpec((p.line,), degree)
 
 
 @given(segments_st, segments_st)
