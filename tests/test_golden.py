@@ -5,15 +5,27 @@
 each with whether it is true and the exact verdict string ``check_identity``
 gives.  ``golden/cli.jsonl`` holds CLI invocations with their exact stdout,
 stderr and exit code: the criterion-11 corpus in json and table format, and
-one input for each documented exit-1 and exit-2 message.  A change that
-means to alter a verdict or a message edits exactly those lines.
+one input for each documented exit-1 and exit-2 message.
+``golden/corpus.jsonl`` pins the corpus path: the MW dual, lambda, elementary
+reductions and downset sizes of the one-line multisegments of small support.
+A change that means to alter a verdict, a message or a row edits exactly
+those lines.
 """
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from strata_kit import (
+    CuspidalLabel,
+    downset,
+    elementary_reductions,
+    enumerate_with_support,
+    lambda_of,
+    mw_dual,
+)
 from strata_kit.cli import parse_expression, run
 from strata_kit.kgroup import check_identity
 
@@ -61,3 +73,29 @@ def test_cli_bytes(rec, capsys, monkeypatch, tmp_path):
     assert (code, captured.out, captured.err.replace(str(tmp_path), "{tmp}")) == (
         rec["code"], rec["stdout"], rec["stderr"]
     )
+
+
+def test_corpus_rows():
+    """``golden/corpus.jsonl`` holds every one-line multisegment whose support
+    is d twists in [0, d - 1] containing 0, for d <= 6, in the order
+    ``enumerate_with_support`` returns them per support: its dual, lambda and
+    sorted elementary reductions, and for d <= 5 the size of its downset."""
+    rows = []
+    for d in range(1, 7):
+        for extra in itertools.combinations_with_replacement(range(d), d - 1):
+            support = [0, *extra]
+            for m in enumerate_with_support([CuspidalLabel("r", twist=t) for t in support]):
+                row = {"support": support, "m": str(m), "dual": str(mw_dual(m)),
+                       "lambda": str(lambda_of(m)),
+                       "reductions": sorted(map(str, elementary_reductions(m)))}
+                if d <= 5:
+                    poset = downset(m)
+                    row["nodes"], row["edges"] = len(poset.nodes), len(poset.edges)
+                rows.append(row)
+    golden = _records("corpus.jsonl")
+    assert len(rows) == len(golden) == 1289
+    mismatched = [
+        (i, want, got) for i, (want, got) in enumerate(zip(golden, rows), 1) if want != got
+    ]
+    # (line, golden row, row now) of the first few that differ
+    assert not mismatched, (len(mismatched), mismatched[:3])
