@@ -96,16 +96,25 @@ def _load_multisegment(arg: str) -> Multisegment:
     return Multisegment.from_json(_load_json(arg))
 
 
-def _budget(args, fallback: int) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+def _read_budget(args) -> None:
+    """Set ``args.budget`` from STRATAKIT_BUDGET when ``--budget`` is absent;
+    a negative value from either is a usage error, raised before any work."""
+    name = "--budget"
+    if args.budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if env is None:
+            return
         try:
-            return int(env)
+            args.budget = int(env)
         except ValueError as exc:
             raise InputError(f"{BUDGET_ENV_VAR} must be an integer") from exc
-    return fallback
+        name = BUDGET_ENV_VAR
+    if args.budget < 0:
+        raise InputError(f"{name} must be nonnegative, got {args.budget}")
+
+
+def _budget(args, fallback: int) -> int:
+    return fallback if args.budget is None else args.budget
 
 
 def _emit(args, text: str) -> None:
@@ -293,6 +302,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if hasattr(args, "budget"):
+            _read_budget(args)
         args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

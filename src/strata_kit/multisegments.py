@@ -8,9 +8,9 @@ the Moeglin-Waldspurger involution, and inertial classes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, product
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -22,9 +22,7 @@ from .segments import (
     CuspidalLine,
     Segment,
     SegmentLike,
-    linked,
     support as segment_support,
-    union_and_intersection,
 )
 from .values import Keyed, Value, set_key, slot_setters
 
@@ -33,6 +31,7 @@ DEFAULT_NODE_BOUND = 5000
 
 
 _segment_key = attrgetter("_key")
+_line_key = attrgetter("cuspidal._key")
 
 
 class Multisegment(Keyed):
@@ -70,7 +69,7 @@ class Multisegment(Keyed):
 
     @property
     def infinite_period(self) -> bool:
-        return all(s.infinite_period for s in self.segments)
+        return all(s.cuspidal.period is None for s in self.segments)
 
     def union(self, other: "Multisegment") -> "Multisegment":
         return Multisegment(self.segments + other.segments)
@@ -82,13 +81,8 @@ class Multisegment(Keyed):
             total.update(segment_support(s))
         return total
 
-    def replace_pair(self, i: int, j: int, new: Iterable[SegmentLike]) -> "Multisegment":
-        rest = [s for k, s in enumerate(self.segments) if k not in (i, j)]
-        rest.extend(new)
-        return Multisegment(rest)
-
     def __str__(self) -> str:
-        return "{" + ",".join(str(s) for s in self.segments) + "}"
+        return "{" + ",".join(map(str, self.segments)) + "}"
 
     def to_json(self) -> dict:
         return {"segments": [s.to_json() for s in self.segments]}
@@ -119,27 +113,40 @@ def lambda_of(m: Multisegment) -> Partition:
     """Highest derivative partition: part i sums the dims of segments of length >= i."""
     dims_by_length: dict[int, int] = {}
     for s in m.segments:
-        n = s.length
-        dims_by_length[n] = dims_by_length.get(n, 0) + s.dim
+        n = s.b - s.a + 1
+        dims_by_length[n] = dims_by_length.get(n, 0) + s.cuspidal.dim
     parts = []
     total = 0
     for i in range(max(dims_by_length, default=0), 0, -1):
         total += dims_by_length.get(i, 0)
         parts.append(total)
-    return Partition(tuple(reversed(parts)))
+    parts.reverse()
+    return Partition(parts)
 
 
 def elementary_reductions(m: Multisegment) -> set[Multisegment]:
-    """All one-step degradations: replace a linked pair by its union and intersection."""
+    """All one-step degradations: replace a linked pair by its union and intersection.
+
+    Each line's segments are one run of ``m.segments``, with ends descending
+    and then starts ascending.  So a pair i < j is linked exactly when it
+    shares a line, b_j < b_i and a_j < a_i <= b_j + 1; its union is
+    [a_j, b_i] and its intersection [a_i, b_j].  Past the first j with
+    b_j + 1 < a_i or on another line, no pair with i is linked.
+    """
     if not m.infinite_period:
         raise WraparoundError("elementary operations undefined with wraparound")
     out: set[Multisegment] = set()
     segs = m.segments
-    for i in range(len(segs)):
+    for i, s in enumerate(segs):
+        line, a, b = s.cuspidal, s.a, s.b
         for j in range(i + 1, len(segs)):
-            if linked(segs[i], segs[j]):
-                union, inter = union_and_intersection(segs[i], segs[j])
-                out.add(m.replace_pair(i, j, (union, inter)))
+            t = segs[j]
+            if t.b + 1 < a or t.cuspidal is not line and t.cuspidal._key != line._key:
+                break
+            if t.b < b and t.a < a:
+                inter = Segment(line, a, t.b) if a <= t.b else EMPTY_SEGMENT
+                rest = segs[:i] + segs[i + 1:j] + segs[j + 1:]
+                out.add(Multisegment(rest + (Segment(line, t.a, b), inter)))
     return out
 
 
@@ -227,49 +234,56 @@ def _dual_one_line(segs: list[Segment]) -> list[Segment]:
     Repeatedly extract the maximal chain of segments whose ends descend by
     one and whose starts strictly decrease; the twist interval of the
     chain's ends becomes a segment of the dual, and each chain member
-    loses its top twist.  The segments are kept as sorted starts bucketed
-    by end, so each chain step is one bisection.
+    loses its top twist.  The starts are kept sorted in buckets by end, and
+    the segments arrive in key order, so each bucket arrives sorted and the
+    top end only falls.  Each chain step is one bisection: the member taken
+    at end f - 1 is the largest start below the one taken at f, so the
+    truncated member [start, f - 1] takes its place in that bucket.
     """
     line = segs[0].cuspidal
     starts: dict[int, list[int]] = {}
     for s in segs:
         starts.setdefault(s.b, []).append(s.a)
-    for bucket in starts.values():
-        bucket.sort()
+    top = segs[0].b
     out: list[Segment] = []
     while starts:
-        b = max(starts)
-        e, start = b, b + 1
-        peeled: list[tuple[int, int]] = []
-        while e in starts:
-            bucket = starts[e]
-            i = bisect_left(bucket, start)
-            if i == 0:
+        while top not in starts:
+            top -= 1
+        bucket = starts[top]
+        start = bucket.pop()
+        if not bucket:
+            del starts[top]
+        f = top
+        while True:
+            below = starts.get(f - 1)
+            i = bisect_left(below, start) if below is not None else 0
+            if not i:
+                if start < f:
+                    starts.setdefault(f - 1, []).insert(0, start)
                 break
-            start = bucket.pop(i - 1)
-            if not bucket:
-                del starts[e]
-            if start < e:
-                peeled.append((start, e - 1))
-            e -= 1
-        out.append(Segment(line, e + 1, b))
-        # The chain members lose their top twist once the chain is complete.
-        for a, end in peeled:
-            insort(starts.setdefault(end, []), a)
+            taken = below[i - 1]
+            if start < f:
+                below[i - 1] = start
+            else:
+                del below[i - 1]
+                if not below:
+                    del starts[f - 1]
+            start = taken
+            f -= 1
+        out.append(Segment(line, f, top))
     return out
 
 
 def mw_dual(m: Multisegment) -> Multisegment:
-    """The Zelevinsky-dual multisegment, computed by maximal-chain peeling."""
-    if not m.infinite_period:
-        raise WraparoundError("the involution is undefined with wraparound")
-    by_line: dict[CuspidalLine, list[Segment]] = {}
-    for s in m.segments:
-        by_line.setdefault(s.cuspidal, []).append(s)
+    """The Zelevinsky-dual multisegment, computed by maximal-chain peeling
+    on each line's run of segments."""
     dual: list[Segment] = []
-    for segs in by_line.values():
-        dual.extend(_dual_one_line(segs))
-    return Multisegment(tuple(dual))
+    for _, run in groupby(m.segments, _line_key):
+        run = list(run)
+        if run[0].cuspidal.period is not None:
+            raise WraparoundError("the involution is undefined with wraparound")
+        dual += _dual_one_line(run)
+    return Multisegment(dual)
 
 
 class InertialClass(Value):
@@ -329,6 +343,55 @@ def inertial_class(m: Multisegment) -> InertialClass:
     return InertialClass(Multisegment(Segment(s.cuspidal, 0, s.length - 1) for s in m.segments))
 
 
+def _one_line(line: CuspidalLine, twists: list[int]) -> list[tuple[Segment, ...]]:
+    """Every multisegment on one line with exactly the given multiset of
+    twists, each as its segments in key order.
+
+    The first is every point as its own segment.  The next comes from the
+    last segment [a, b] that can start one lower: at a - 1 there is a free
+    point, and an earlier segment that also ends at b starts no later.  It
+    becomes [a - 1, b], and every point left at or below b becomes its own
+    segment again.  Each multisegment is reached exactly once, and none of
+    these steps runs into a dead end.
+    """
+    lo = min(twists)
+    free = [0] * (max(twists) - lo + 1)
+    for t in twists:
+        free[t - lo] += 1
+    # The segments the support allows, each built once: seg[b][a] is the
+    # segment from offset a to offset b.
+    seg: list[list[Optional[Segment]]] = []
+    for b in range(len(free)):
+        row: list[Optional[Segment]] = [None] * (b + 1)
+        a = b
+        while a >= 0 and free[a]:
+            row[a] = Segment(line, lo + a, lo + b)
+            a -= 1
+        seg.append(row)
+    picked: list[Segment] = []  # in key order
+    out: list[tuple[Segment, ...]] = []
+    b = len(free) - 1
+    while True:
+        for t in range(b, -1, -1):
+            if free[t]:
+                picked += [seg[t][t]] * free[t]
+                free[t] = 0
+        out.append(tuple(picked))
+        while picked:
+            s = picked.pop()
+            a, b = s.a - lo, s.b - lo
+            for u in range(a, b + 1):
+                free[u] += 1
+            a -= 1
+            if a >= 0 and free[a] and (not picked or picked[-1].b > s.b or picked[-1].a < s.a):
+                break
+        else:
+            return out
+        for u in range(a, b + 1):
+            free[u] -= 1
+        picked.append(seg[b][a])
+
+
 def enumerate_with_support(
     points: Iterable[CuspidalLabel], bound: int = DEFAULT_SUPPORT_BOUND
 ) -> list[Multisegment]:
@@ -340,32 +403,10 @@ def enumerate_with_support(
         )
     if any(p.line.period is not None for p in pts):
         raise WraparoundError("support enumeration undefined with wraparound")
-    remaining: Counter = Counter((p.line, p.twist) for p in pts)
-    results: list[Multisegment] = []
-    acc: list[Segment] = []
-
-    def rec(prev_top: Optional[tuple], prev_start: int) -> None:
-        # The highest remaining point is the top of some segment.  Segments
-        # with the same top are chosen consecutively with starts that never
-        # increase, so each multisegment is generated exactly once.
-        if not remaining:
-            results.append(Multisegment(tuple(acc)))
-            return
-        top = max(remaining, key=lambda p: (p[0]._key, p[1]))
-        line, t = top
-        lowest = prev_start if top == prev_top else t
-        a = t
-        while remaining[line, a]:
-            point = (line, a)
-            remaining[point] -= 1
-            if not remaining[point]:
-                del remaining[point]
-            if a <= lowest:
-                acc.append(Segment(line, a, t))
-                rec(top, a)
-                acc.pop()
-            a -= 1
-        remaining.update((line, u) for u in range(a + 1, t + 1))
-
-    rec(None, 0)
-    return sorted(results, key=str)
+    # The integer twists on each line; lines of one key are one line.
+    twists: dict[tuple, tuple[CuspidalLine, list[int]]] = {}
+    for p in pts:
+        twists.setdefault(p.line._key, (p.line, []))[1].append(p.twist)
+    # A multisegment is one choice per line, with the lines in key order.
+    per_line = [_one_line(line, ts) for _, (line, ts) in sorted(twists.items())]
+    return sorted((Multisegment(sum(parts, ())) for parts in product(*per_line)), key=str)

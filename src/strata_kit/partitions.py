@@ -87,11 +87,12 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
     """
     if lam.weight != mu.weight:
         raise WeightMismatchError("incomparable weights")
-    acc_l = acc_m = 0
-    for i in range(1, max(lam.length, mu.length) + 1):
-        acc_l += lam.part(i)
-        acc_m += mu.part(i)
-        if acc_l > acc_m:
+    # With equal weights the parts past the shorter partition cannot break
+    # the order, so one running difference over the common parts decides.
+    diff = 0
+    for p, q in zip(lam.parts, mu.parts):
+        diff += q - p
+        if diff < 0:
             return False
     return True
 

@@ -156,7 +156,7 @@ class Segment(Keyed):
         return self._key
 
     def __str__(self) -> str:
-        return f"[{self.a},{self.b}]_{self.line_id}"
+        return f"[{self.a},{self.b}]_{self.cuspidal.line_id}"
 
     def to_json(self) -> dict:
         return {**self.cuspidal.to_json(), "a": self.a, "b": self.b}
@@ -210,48 +210,51 @@ class Relation(Value):
         )
 
 
-def _check_linkable(s1: Segment, s2: Segment) -> None:
-    """Linking is defined for nonempty segments on infinite-period lines only."""
-    if s1.is_empty or s2.is_empty:
-        raise ShapeError("relate is undefined for empty segments")
-    if s1.cuspidal.period is not None or s2.cuspidal.period is not None:
-        raise WraparoundError("linking undefined with wraparound")
+# The nine relations ``relate`` can return, one shared value each.
+APART = Relation(False, False, False, False, False, False, False, True)
+SAME_LINE_APART = Relation(True, False, False, False, False, False, False, True)
+EQUAL = Relation(True, False, False, False, False, True, True, False)
+CONTAINS = Relation(True, False, False, False, False, True, False, False)
+CONTAINED_IN = Relation(True, False, False, False, False, False, True, False)
+PRECEDES = Relation(True, True, False, True, False, False, False, False)
+PRECEDES_JUXTAPOSED = Relation(True, True, False, True, True, False, False, True)
+PRECEDED_BY = Relation(True, False, True, True, False, False, False, False)
+PRECEDED_BY_JUXTAPOSED = Relation(True, False, True, True, True, False, False, True)
 
 
 def linked(s1: Segment, s2: Segment) -> bool:
     """Whether the two segments are linked: their union is a segment containing
     neither of them.  Same preconditions as :func:`relate`."""
-    _check_linkable(s1, s2)
-    if s1.cuspidal != s2.cuspidal:
-        return False
-    if s1.a < s2.a:
-        return s1.b < s2.b and s2.a <= s1.b + 1
-    if s2.a < s1.a:
-        return s2.b < s1.b and s1.a <= s2.b + 1
-    return False
+    return relate(s1, s2).linked
 
 
 def relate(s1: Segment, s2: Segment) -> Relation:
-    """Relation record for two nonempty segments; infinite-period lines only."""
-    _check_linkable(s1, s2)
-    if s1.cuspidal != s2.cuspidal:
-        return Relation(False, False, False, False, False, False, False, True)
+    """Relation record for two nonempty segments; infinite-period lines only.
+
+    The record is one of the nine shared values above: segments on two
+    lines are apart, and on one line the order of the endpoints decides.
+    """
+    if s1.is_empty or s2.is_empty:
+        raise ShapeError("relate is undefined for empty segments")
+    c1, c2 = s1.cuspidal, s2.cuspidal
+    if c1.period is not None or c2.period is not None:
+        raise WraparoundError("linking undefined with wraparound")
+    if c1 is not c2 and c1._key != c2._key:
+        return APART
     a1, b1, a2, b2 = s1.a, s1.b, s2.a, s2.b
-    contains = a1 <= a2 and b2 <= b1
-    contained_in = a2 <= a1 and b1 <= b2
-    overlap = max(a1, a2) <= min(b1, b2)
-    union_is_segment = a2 <= b1 + 1 and a1 <= b2 + 1
-    is_linked = union_is_segment and not contains and not contained_in
-    return Relation(
-        same_line=True,
-        precedes=is_linked and a1 < a2,
-        preceded_by=is_linked and a2 < a1,
-        linked=is_linked,
-        juxtaposed=is_linked and not overlap,
-        contains=contains,
-        contained_in=contained_in,
-        disjoint=not overlap,
-    )
+    if a1 < a2:
+        if b2 <= b1:
+            return CONTAINS
+        if a2 <= b1:
+            return PRECEDES
+        return PRECEDES_JUXTAPOSED if a2 == b1 + 1 else SAME_LINE_APART
+    if a2 < a1:
+        if b1 <= b2:
+            return CONTAINED_IN
+        if a1 <= b2:
+            return PRECEDED_BY
+        return PRECEDED_BY_JUXTAPOSED if a1 == b2 + 1 else SAME_LINE_APART
+    return EQUAL if b1 == b2 else CONTAINS if b2 < b1 else CONTAINED_IN
 
 
 def union_and_intersection(s1: Segment, s2: Segment) -> tuple[Segment, SegmentLike]:

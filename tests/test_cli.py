@@ -308,6 +308,19 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert err == f"error: {message} (raise it with --budget or STRATAKIT_BUDGET)\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["poset", MSEG_01], ["poset", MSEG_PAIR], ["poset", "not json"],
+        ["enumerate", "--support", '[["r",0]]'],
+        ["strata", "--block", '{"lines":[{"line":"r"}],"n":2}', "--lambda", "[2]"],
+    ])
+    def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch, argv):
+        """Refused before any work, whatever the input and from either source."""
+        assert invoke(capsys, *argv, "--budget", "-1") == (
+            2, "", "error: --budget must be nonnegative, got -1\n")
+        monkeypatch.setenv("STRATAKIT_BUDGET", "-3")
+        assert invoke(capsys, *argv) == (
+            2, "", "error: STRATAKIT_BUDGET must be nonnegative, got -3\n")
+
     def test_unknown_verb(self, capsys):
         assert run(["frobnicate"]) == 2
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from collections import Counter
 
@@ -439,3 +440,16 @@ class TestEnumerateWithSupport:
     def test_wraparound_rejected(self):
         with pytest.raises(WraparoundError):
             enumerate_with_support([CuspidalLabel("r", period=2)])
+
+    def test_leaves_no_cyclic_garbage(self):
+        # A reference cycle per call is freed only by the collector, and its
+        # pauses then land in the calls that follow.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            enumerate_with_support(self.pts(0, 1, 1, 2, 4) + self.pts(3, line_id="s"))
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
