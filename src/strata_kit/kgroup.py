@@ -218,7 +218,7 @@ def _ladder(m) -> dict[Term, int]:
             if b < a - 1:
                 break
             if b >= a:
-                atoms.append(Multisegment.single(Segment(line, a, b)))
+                atoms.append(Multisegment.from_sorted((Segment(line, a, b),)))
         else:
             inversions = sum(x > y for x, y in itertools.combinations(w, 2))
             _add_term(acc, tuple(sorted(atoms, key=_atom_key)), (-1) ** inversions)
@@ -258,7 +258,7 @@ def _is_segment(atom) -> bool:
 def _segment_table(atom: Multisegment) -> dict[int, dict[Term, int]]:
     """D(Z(Δ)) = Z(Δ) + Z(Δ⁻), the second layer in degree dim Δ."""
     d = atom.segments[0]
-    lower = (Multisegment.single(top_minus(d)),) if d.length > 1 else ()
+    lower = (Multisegment.from_sorted((top_minus(d),)),) if d.length > 1 else ()
     return {0: {(atom,): 1}, d.dim: {lower: 1}}
 
 
@@ -363,7 +363,8 @@ def ZClass(m: Multisegment) -> GradedVirtual:
 
 def SegmentProduct(segments) -> GradedVirtual:
     """The product Z(Δ1)...Z(Δk) of segment classes, one term in degree 0."""
-    return _wrap({0: {tuple(sorted(map(Multisegment.single, segments), key=_atom_key)): 1}})
+    atoms = [Multisegment.from_sorted((s,)) for s in segments]
+    return _wrap({0: {tuple(sorted(atoms, key=_atom_key)): 1}})
 
 
 def ProductExpr(factors) -> GradedVirtual:

@@ -8,16 +8,15 @@ the Moeglin-Waldspurger involution, and inertial classes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, InputError, ShapeError, WraparoundError, expect
 from .partitions import Partition
 from .segments import (
-    EMPTY_SEGMENT,
     CuspidalLabel,
     CuspidalLine,
     Segment,
@@ -35,7 +34,7 @@ _line_key = attrgetter("cuspidal._key")
 
 
 class Multisegment(Keyed):
-    """A multiset of nonempty segments, stored canonically sorted.
+    """A multiset of nonempty segments, stored sorted by key.
 
     Empty segments are dropped at construction so truncation maps can be
     composed freely.  The key concatenates the segments' keys.
@@ -44,22 +43,37 @@ class Multisegment(Keyed):
     __slots__ = ("segments",)
 
     def __init__(self, segments: Iterable[SegmentLike] = ()) -> None:
-        kept = tuple(sorted([s for s in segments if not s.is_empty], key=_segment_key))
-        _set_segments(self, kept)
-        # Concatenating beats chaining for the few segments a multisegment has.
-        set_key(self, sum(map(_segment_key, kept), ()))
+        self._fill(sorted([s for s in segments if not s.is_empty], key=_segment_key))
 
     @classmethod
     def of(cls, *segments: SegmentLike) -> "Multisegment":
         return cls(segments)
 
     @classmethod
-    def single(cls, seg: Segment) -> "Multisegment":
-        """``Multisegment.of(seg)`` for one nonempty segment: nothing to drop or sort."""
+    def from_sorted(cls, segments: Iterable[Segment]) -> "Multisegment":
+        """The multisegment of the given segments, which must be nonempty and
+        already in key order: nothing is dropped or sorted.
+
+        For callers that produce their segments in key order; given out of
+        order, the result is not canonical and compares unequal to the one
+        the constructor builds.
+        """
         m = cls.__new__(cls)
-        _set_segments(m, (seg,))
-        set_key(m, seg._key)
+        m._fill(segments)
         return m
+
+    def _fill(self, segments: Iterable[Segment]) -> None:
+        """Store the segments and their concatenated keys, in linear time."""
+        segments = tuple(segments)
+        if len(segments) == 1:  # kgroup's segment classes, built by the thousand
+            key = segments[0]._key
+        else:
+            parts: list = []
+            for s in segments:
+                parts += s._key
+            key = tuple(parts)
+        _set_segments(self, segments)
+        set_key(self, key)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -131,22 +145,27 @@ def elementary_reductions(m: Multisegment) -> set[Multisegment]:
     and then starts ascending.  So a pair i < j is linked exactly when it
     shares a line, b_j < b_i and a_j < a_i <= b_j + 1; its union is
     [a_j, b_i] and its intersection [a_i, b_j].  Past the first j with
-    b_j + 1 < a_i or on another line, no pair with i is linked.
+    b_j + 1 < a_i or on another line, no pair with i is linked.  The other
+    segments keep their order, and the union and a nonempty intersection
+    are inserted in theirs.
     """
-    if not m.infinite_period:
-        raise WraparoundError("elementary operations undefined with wraparound")
     out: set[Multisegment] = set()
     segs = m.segments
     for i, s in enumerate(segs):
         line, a, b = s.cuspidal, s.a, s.b
+        if line.period is not None:
+            raise WraparoundError("elementary operations undefined with wraparound")
         for j in range(i + 1, len(segs)):
             t = segs[j]
             if t.b + 1 < a or t.cuspidal is not line and t.cuspidal._key != line._key:
                 break
             if t.b < b and t.a < a:
-                inter = Segment(line, a, t.b) if a <= t.b else EMPTY_SEGMENT
-                rest = segs[:i] + segs[i + 1:j] + segs[j + 1:]
-                out.add(Multisegment(rest + (Segment(line, t.a, b), inter)))
+                rest = list(segs)
+                del rest[j], rest[i]
+                insort(rest, Segment(line, t.a, b), key=_segment_key)
+                if a <= t.b:
+                    insort(rest, Segment(line, a, t.b), key=_segment_key)
+                out.add(Multisegment.from_sorted(rest))
     return out
 
 
@@ -276,14 +295,18 @@ def _dual_one_line(segs: list[Segment]) -> list[Segment]:
 
 def mw_dual(m: Multisegment) -> Multisegment:
     """The Zelevinsky-dual multisegment, computed by maximal-chain peeling
-    on each line's run of segments."""
+    on each line's run of segments.
+
+    The peeling emits each line's dual in key order, and the runs come in
+    the order of their lines, so the dual needs no sort.
+    """
     dual: list[Segment] = []
     for _, run in groupby(m.segments, _line_key):
         run = list(run)
         if run[0].cuspidal.period is not None:
             raise WraparoundError("the involution is undefined with wraparound")
         dual += _dual_one_line(run)
-    return Multisegment(dual)
+    return Multisegment.from_sorted(dual)
 
 
 class InertialClass(Value):
@@ -409,4 +432,5 @@ def enumerate_with_support(
         twists.setdefault(p.line._key, (p.line, []))[1].append(p.twist)
     # A multisegment is one choice per line, with the lines in key order.
     per_line = [_one_line(line, ts) for _, (line, ts) in sorted(twists.items())]
-    return sorted((Multisegment(sum(parts, ())) for parts in product(*per_line)), key=str)
+    return sorted((Multisegment.from_sorted(chain.from_iterable(parts))
+                   for parts in product(*per_line)), key=str)

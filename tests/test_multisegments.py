@@ -1,5 +1,6 @@
 import gc
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -168,9 +169,23 @@ class TestMultisegment:
 
     def test_single_segment_fast_path_builds_what_of_builds(self):
         for s in (seg(0, 0), seg(-3, 2, "s"), seg(1, 4, dim=2), seg(5, 6, period=3)):
-            fast, built = Multisegment.single(s), Multisegment.of(s)
+            fast, built = Multisegment.from_sorted((s,)), Multisegment.of(s)
             assert (fast, fast.segments, fast._key) == (built, built.segments, built._key)
             assert (hash(fast), str(fast)) == (hash(built), str(built))
+
+    def test_construction_is_linear_in_the_segment_count(self):
+        """20 000 singletons given against key order, and the MW dual of
+        [0, 20000], each build in well under a second; building the key by
+        concatenating tuples pairwise took about 5 s."""
+        singletons = [seg(t, t) for t in range(20000)]
+        start = time.perf_counter()
+        m = Multisegment(singletons)
+        assert time.perf_counter() - start < 1
+        assert m.segments == tuple(reversed(singletons))
+        start = time.perf_counter()
+        dual = mw_dual(mseg((0, 20000)))
+        assert time.perf_counter() - start < 1
+        assert dual == Multisegment(singletons + [seg(20000, 20000)])
 
 
 class TestLambda:
