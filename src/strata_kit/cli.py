@@ -42,6 +42,9 @@ from .strata import (
 )
 
 BUDGET_ENV_VAR = "STRATAKIT_BUDGET"
+# The most parts that ``lambda`` and points that ``dual`` may print; it
+# admits one segment of 100 001 twists.
+DEFAULT_OUTPUT_BOUND = 200_000
 
 # A JSON string, or a bracket outside strings.
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
@@ -154,13 +157,24 @@ def _render(args, payload) -> str:
     return _dumps(payload)
 
 
+def _check_output(args, size: int, what: str) -> None:
+    """Refuse, before any work, an output of ``size`` past the bound."""
+    bound = _budget(args, DEFAULT_OUTPUT_BOUND)
+    if size > bound:
+        raise BudgetExceededError(f"output size bound {bound} exceeded: {what}")
+
+
 def _cmd_lambda(args) -> None:
     m = _load_multisegment(args.input)
+    parts = max((s.length for s in m.segments), default=0)
+    _check_output(args, parts, f"the partition would have {parts} parts")
     _emit(args, _render(args, lambda_of(m).to_json()))
 
 
 def _cmd_dual(args) -> None:
     m = _load_multisegment(args.input)
+    points = sum(s.length for s in m.segments)
+    _check_output(args, points, f"the support has {points} points")
     _emit(args, _render(args, mw_dual(m).to_json()))
 
 
@@ -235,7 +249,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_budget(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget", type=int, help="override the enumeration bound")
+    sub.add_argument("--budget", type=int, help="override the size bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,11 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("lambda", help="highest derivative partition of a multisegment")
     p.add_argument("input", help="multisegment JSON or a path to it")
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_lambda)
 
     p = subs.add_parser("dual", help="Zelevinsky-dual multisegment")
     p.add_argument("input")
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_dual)
 
     p = subs.add_parser("poset", help="elementary-reduction poset below a multisegment")

@@ -303,15 +303,34 @@ class TestExitCodes:
                  "--lambda", "[4]", "--budget", "2"],
                 "component enumeration bound 2 exceeded: the stratum has 5 classes",
             ),
+            (
+                ["lambda", MSEG_01.replace('"b":1', '"b":200000')],
+                "output size bound 200000 exceeded: the partition would have 200001 parts",
+            ),
+            (
+                ["dual", MSEG_01.replace('"b":1', f'"b":{10**30}')],
+                f"output size bound 200000 exceeded: the support has {10**30 + 1} points",
+            ),
+            (
+                ["dual", MSEG_PAIR, "--budget", "1"],
+                "output size bound 1 exceeded: the support has 2 points",
+            ),
         ]:
             code, out, err = invoke(capsys, *argv)
             assert (code, out) == (1, "")
             assert err == f"error: {message} (raise it with --budget or STRATAKIT_BUDGET)\n"
 
+    def test_default_output_bound_admits_one_segment_of_100001_twists(self, capsys):
+        one = '{"segments":[{"line":"r","dim":1,"period":null,"a":0,"b":100000}]}'
+        assert invoke(capsys, "lambda", one) == (0, "[" + ",".join(["1"] * 100001) + "]\n", "")
+        code, out, _ = invoke(capsys, "dual", one)
+        assert (code, len(json.loads(out)["segments"])) == (0, 100001)
+
     @pytest.mark.parametrize("argv", [
         ["poset", MSEG_01], ["poset", MSEG_PAIR], ["poset", "not json"],
         ["enumerate", "--support", '[["r",0]]'],
         ["strata", "--block", '{"lines":[{"line":"r"}],"n":2}', "--lambda", "[2]"],
+        ["lambda", MSEG_01], ["dual", MSEG_01],
     ])
     def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch, argv):
         """Refused before any work, whatever the input and from either source."""
@@ -423,8 +442,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["lambda", MSEG_01, "--budget", "3"],
-            ["dual", MSEG_01, "--budget", "3"],
+            ["lambda", MSEG_01, "--dot"],
+            ["dual", MSEG_01, "--dot"],
             ["ring", "--class", MSEG_PAIR, "--budget", "3"],
             ["ext", "--r", "3", "--budget", "3"],
             ["kgroup-check", "Z[0,0] = Z[0,0]", "--budget", "1"],
