@@ -51,12 +51,9 @@ class Multisegment(Keyed):
 
     @classmethod
     def from_sorted(cls, segments: Iterable[Segment]) -> "Multisegment":
-        """The multisegment of the given segments, which must be nonempty and
-        already in key order: nothing is dropped or sorted.
-
-        For callers that produce their segments in key order; given out of
-        order, the result is not canonical and compares unequal to the one
-        the constructor builds.
+        """The multisegment of nonempty segments given in key order, which
+        are neither filtered nor sorted.  Given out of order, the result is
+        not canonical: it compares unequal to the one the constructor builds.
         """
         m = cls.__new__(cls)
         m._fill(segments)
@@ -65,7 +62,7 @@ class Multisegment(Keyed):
     def _fill(self, segments: Iterable[Segment]) -> None:
         """Store the segments and their concatenated keys, in linear time."""
         segments = tuple(segments)
-        if len(segments) == 1:  # kgroup's segment classes, built by the thousand
+        if len(segments) == 1:  # as kgroup's many segment classes: no copy
             key = segments[0]._key
         else:
             parts: list = []
