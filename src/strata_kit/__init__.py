@@ -3,6 +3,8 @@ highest-derivative-partition strata, Grothendieck-group derivative
 identities, and invariant-ring presentations of stratum components.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -30,7 +32,6 @@ from .segments import (
     linked,
     relate,
     top_minus,
-    union_and_intersection,
 )
 from .multisegments import (
     InertialClass,
@@ -67,13 +68,14 @@ from .strata import (
     classification_partition,
     components,
     ext_dimensions,
-    in_stratum,
     multisegment_to_orbit,
     point_to_multisegment,
     ring_presentation,
     tangent_dim,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules are bound here by the imports above; they are not exports.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

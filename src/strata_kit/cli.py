@@ -62,6 +62,8 @@ def _read_input(arg: str) -> str:
                 return fh.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"cannot read {arg}: not UTF-8 text") from exc
+        except OSError as exc:
+            raise InputError(f"cannot read {arg}: {exc.strerror or exc}") from exc
     return arg
 
 
@@ -124,8 +126,11 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -326,7 +326,7 @@ def lemcomp_derivative(rho_top: Segment, delta: Segment) -> Multisegment:
     if not (
         rho_top.length == 1
         and rho_top.infinite_period
-        and rho_top.same_line(delta)
+        and rho_top.cuspidal == delta.cuspidal
         and delta.b == rho_top.a - 1
     ):
         raise ShapeError("expected a singleton just above the segment's end")

@@ -340,10 +340,6 @@ class InertialClass(Value):
     def degree(self) -> int:
         return degree(self.representative)
 
-    @property
-    def tangent_dim(self) -> int:
-        return len(self.representative)
-
     def weyl_order(self) -> int:
         return math.prod(map(math.factorial, self.orbit_sizes))
 

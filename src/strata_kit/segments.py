@@ -144,9 +144,6 @@ class Segment(Keyed):
     def infinite_period(self) -> bool:
         return self.cuspidal.infinite_period
 
-    def same_line(self, other: "Segment") -> bool:
-        return self.cuspidal == other.cuspidal
-
     def shifted(self, t: int) -> "Segment":
         return Segment(self.cuspidal, self.a + t, self.b + t)
 
@@ -255,16 +252,6 @@ def relate(s1: Segment, s2: Segment) -> Relation:
             return PRECEDED_BY
         return PRECEDED_BY_JUXTAPOSED if a1 == b2 + 1 else SAME_LINE_APART
     return EQUAL if b1 == b2 else CONTAINS if b2 < b1 else CONTAINED_IN
-
-
-def union_and_intersection(s1: Segment, s2: Segment) -> tuple[Segment, SegmentLike]:
-    """(union, intersection) of a linked pair; the intersection may be empty."""
-    if not linked(s1, s2):
-        raise ShapeError("segments not linked")
-    union = Segment(s1.cuspidal, min(s1.a, s2.a), max(s1.b, s2.b))
-    lo, hi = max(s1.a, s2.a), min(s1.b, s2.b)
-    inter: SegmentLike = Segment(s1.cuspidal, lo, hi) if lo <= hi else EMPTY_SEGMENT
-    return union, inter
 
 
 def top_minus(seg: Segment, beta: int = 1) -> SegmentLike:

@@ -1,5 +1,5 @@
-"""Stratification layer: membership predicates, component enumeration,
-invariant-ring presentations, and the point <-> multisegment bijection.
+"""Stratification layer: component enumeration, invariant-ring
+presentations, and the point <-> multisegment bijection.
 
 A stratum is indexed by a partition lambda; its components are inertial
 classes of multisegments with that highest derivative partition, and each
@@ -15,8 +15,8 @@ import math
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, ShapeError, WeightMismatchError, WraparoundError, expect
-from .multisegments import InertialClass, Multisegment, inertial_class, lambda_of
-from .partitions import Partition, conjugate, dominance_leq
+from .multisegments import InertialClass, Multisegment, inertial_class
+from .partitions import Partition, conjugate
 from .segments import CuspidalLabel, CuspidalLine, Segment
 from .values import Value
 
@@ -110,19 +110,6 @@ class StratumReport(Value):
                 for cls, ring in self.components
             ],
         }
-
-
-def in_stratum(m: Multisegment, lam: Partition) -> str:
-    """Classify lambda(m) against lam: 'equal', 'strictly_below', or
-    'above_or_incomparable'."""
-    mine = lambda_of(m)
-    if mine.weight != lam.weight:
-        raise WeightMismatchError("incomparable weights")
-    if mine == lam:
-        return "equal"
-    if dominance_leq(mine, lam):
-        return "strictly_below"
-    return "above_or_incomparable"
 
 
 def classification_partition(m: Multisegment) -> Partition:

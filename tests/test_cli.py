@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -488,6 +489,31 @@ class TestDeterminismAndOutput:
             code, out, _ = invoke(capsys, *argv)
             assert code == 0
             json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "verb,text",
+    [("lambda", MSEG_01), ("kgroup-check", "Z[0,1] = Z[0,1]")],
+    ids=["json", "kgroup-check"],
+)
+def test_out_path_that_cannot_be_written(capsys, monkeypatch, tmp_path, verb, text):
+    missing = tmp_path / "no" / "x"
+    assert invoke(capsys, verb, text, "--out", str(missing)) == (
+        2, "", f"error: cannot write {missing}: {os.strerror(errno.ENOENT)}\n"
+    )
+    assert invoke(capsys, verb, text, "--out", str(tmp_path)) == (
+        2, "", f"error: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+    )
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr("strata_kit.cli.open", refuse, raising=False)
+    assert invoke(capsys, verb, str(path)) == (
+        2, "", f"error: cannot read {path}: {os.strerror(errno.EACCES)}\n"
+    )
 
 
 def test_module_entry_point_has_clean_stderr():

@@ -155,6 +155,9 @@ class TestLemcomp:
             lemcomp_derivative(seg(3, 3), seg(0, 1))
         with pytest.raises(ShapeError):
             lemcomp_derivative(seg(2, 3), seg(0, 1))
+        for top in (seg(2, 2, "s"), seg(2, 2, dim=2)):  # another line
+            with pytest.raises(ShapeError):
+                lemcomp_derivative(top, seg(0, 1))
 
 
 class TestWeirdcase:

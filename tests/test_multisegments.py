@@ -268,9 +268,12 @@ class TestElementaryReductions:
         assert elementary_reductions(mseg((0, 2), (1, 3))) == {mseg((0, 3), (1, 2))}
 
     def test_degree_preserved(self):
+        """A reduction replaces a linked pair by its union and intersection,
+        so it keeps the degree and the support, point by point."""
         for m in all_anchored(6):
             for child in elementary_reductions(m):
                 assert degree(child) == degree(m)
+                assert child.support() == m.support()
 
     def test_strictly_lowers_lambda(self):
         for m in all_anchored(6):

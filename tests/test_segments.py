@@ -15,7 +15,6 @@ from strata_kit import (
     linked,
     relate,
     top_minus,
-    union_and_intersection,
 )
 from strata_kit.segments import support
 
@@ -184,25 +183,6 @@ class TestRelate:
                 assert not rel.precedes
             assert not (rel.precedes and back.precedes)
             assert not (rel.linked and (rel.contains or rel.contained_in))
-
-
-class TestUnionIntersection:
-    def test_examples(self):
-        assert union_and_intersection(seg(0, 0), seg(1, 1)) == (seg(0, 1), EMPTY_SEGMENT)
-        assert union_and_intersection(seg(0, 2), seg(1, 3)) == (seg(0, 3), seg(1, 2))
-        assert union_and_intersection(seg(0, 1), seg(2, 4)) == (seg(0, 4), EMPTY_SEGMENT)
-
-    def test_not_linked(self):
-        with pytest.raises(ShapeError, match="segments not linked"):
-            union_and_intersection(seg(0, 2), seg(1, 1))
-
-    def test_degree_conserved(self):
-        segs = [seg(a, b) for a in range(-4, 5) for b in range(a, 5)]
-        for s1, s2 in itertools.product(segs, segs):
-            if relate(s1, s2).linked:
-                u, i = union_and_intersection(s1, s2)
-                d_i = 0 if i.is_empty else i.degree
-                assert s1.degree + s2.degree == u.degree + d_i
 
 
 class TestTruncation:

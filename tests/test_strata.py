@@ -24,7 +24,6 @@ from strata_kit import (
     components,
     enumerate_partitions,
     ext_dimensions,
-    in_stratum,
     inertial_class,
     lambda_of,
     multisegment_to_orbit,
@@ -122,24 +121,6 @@ def orbit_points(draw):
         dim = 1 if line_id == "r" else 2
         segments += [seg(t, t + length - 1, line_id, dim) for t in twists]
     return Multisegment(tuple(segments))
-
-
-class TestInStratum:
-    def test_examples(self):
-        assert in_stratum(mseg((0, 0), (1, 1)), Partition.of(2)) == "equal"
-        assert in_stratum(mseg((0, 1)), Partition.of(2)) == "strictly_below"
-        assert (
-            in_stratum(mseg((0, 0), (1, 1)), Partition.of(1, 1))
-            == "above_or_incomparable"
-        )
-
-    def test_weight_mismatch(self):
-        with pytest.raises(WeightMismatchError):
-            in_stratum(mseg((0, 1)), Partition.of(3))
-
-    def test_finite_period_allowed(self):
-        m = Multisegment.of(seg(0, 1, period=2))
-        assert in_stratum(m, Partition.of(1, 1)) == "equal"
 
 
 class TestClassificationPartition:
