@@ -22,14 +22,10 @@ from .partitions import (
     whittaker_support,
 )
 from .segments import (
-    EMPTY_SEGMENT,
     CuspidalLabel,
     CuspidalLine,
-    EmptySegment,
     Relation,
     Segment,
-    SegmentLike,
-    linked,
     relate,
     top_minus,
 )

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import ShapeError, WraparoundError
 from .multisegments import Multisegment, degenerates_to
-from .segments import Segment, linked, relate, top_minus
+from .segments import Segment, relate, top_minus
 from .values import Keyed, Value, set_key
 
 # A term is a commutative product of irreducible classes, stored as a
@@ -153,7 +153,7 @@ def _multiply(acc: dict[Term, int], combos) -> dict[Term, int]:
     factors hold canonical terms, so no trivial atom needs dropping.
     """
     for choice in itertools.product(*[combo.items() for combo in combos]):
-        atoms: tuple = ()
+        atoms: list = []
         coeff = 1
         for term, c in choice:
             atoms += term
@@ -192,7 +192,7 @@ def _components(segs) -> list[list[Segment]]:
     for s in segs:
         merged, rest = [s], []
         for comp in comps:
-            if any(linked(s, t) for t in comp):
+            if any(relate(s, t).linked for t in comp):
                 merged += comp
             else:
                 rest.append(comp)
@@ -321,8 +321,6 @@ def resolve_pair(d1: Segment, d2: Segment) -> list[Multisegment]:
 
 def lemcomp_derivative(rho_top: Segment, delta: Segment) -> Multisegment:
     """Degree-k derivative of Z({[c,c], delta}): replace delta by its top truncation."""
-    if rho_top.is_empty or delta.is_empty:
-        raise ShapeError("expected nonempty segments")
     if not (
         rho_top.length == 1
         and rho_top.infinite_period
@@ -340,9 +338,9 @@ def weirdcase_constituents(alpha: int, delta: Segment) -> list[Multisegment]:
     {[alpha+1,alpha+1], [alpha,alpha], delta} and {[alpha,alpha+1], delta}.
     Requires an infinite-period line, as :func:`resolve_pair` does.
     """
-    if not (delta.is_empty or delta.infinite_period):
+    if not delta.infinite_period:
         raise WraparoundError("weirdcase undefined with wraparound")
-    if delta.is_empty or delta.b != alpha - 1:
+    if delta.b != alpha - 1:
         raise ShapeError("expected a segment ending at alpha-1")
     line = delta.cuspidal
     s_mid = Segment(line, alpha, alpha)

@@ -20,7 +20,6 @@ from .segments import (
     CuspidalLabel,
     CuspidalLine,
     Segment,
-    SegmentLike,
     support as segment_support,
 )
 from .values import Keyed, Value, set_key, slot_setters
@@ -34,24 +33,24 @@ _line_key = attrgetter("cuspidal._key")
 
 
 class Multisegment(Keyed):
-    """A multiset of nonempty segments, stored sorted by key.
+    """A multiset of segments, stored sorted by key.
 
-    Empty segments are dropped at construction so truncation maps can be
-    composed freely.  The key concatenates the segments' keys.
+    None entries are dropped at construction, so truncations by ``top_minus``
+    compose freely.  The key concatenates the segments' keys.
     """
 
     __slots__ = ("segments",)
 
-    def __init__(self, segments: Iterable[SegmentLike] = ()) -> None:
-        self._fill(sorted([s for s in segments if not s.is_empty], key=_segment_key))
+    def __init__(self, segments: Iterable[Optional[Segment]] = ()) -> None:
+        self._fill(sorted([s for s in segments if s is not None], key=_segment_key))
 
     @classmethod
-    def of(cls, *segments: SegmentLike) -> "Multisegment":
+    def of(cls, *segments: Optional[Segment]) -> "Multisegment":
         return cls(segments)
 
     @classmethod
     def from_sorted(cls, segments: Iterable[Segment]) -> "Multisegment":
-        """The multisegment of nonempty segments given in key order, which
+        """The multisegment of segments given in key order, which
         are neither filtered nor sorted.  Given out of order, the result is
         not canonical: it compares unequal to the one the constructor builds.
         """
@@ -103,13 +102,15 @@ class Multisegment(Keyed):
         """Decode ``{"segments": [...]}``; ``where`` is its path, empty at the root.
 
         Segments are checked and built in document order, and the first
-        fault is reported with its path, e.g. ``segments[0].a``.
+        fault is reported with its path, e.g. ``segments[0].a``.  An entry
+        whose ``empty`` field is truthy stands for no segment and is skipped.
         """
         if not isinstance(data, dict) or "segments" not in data:
             raise InputError('expected a multisegment object {"segments": [...]}', where)
         where += ".segments"
         segments = expect(data["segments"], list, where)
-        return cls(Segment.from_json(s, f"{where}[{i}]") for i, s in enumerate(segments))
+        return cls(Segment.from_json(s, f"{where}[{i}]") for i, s in enumerate(segments)
+                   if not (isinstance(s, dict) and s.get("empty")))
 
 
 (_set_segments,) = slot_setters(Multisegment)
@@ -167,7 +168,8 @@ def elementary_reductions(m: Multisegment) -> set[Multisegment]:
 
 
 class Poset(Value):
-    """The reduction poset below a multisegment: nodes and covering edges."""
+    """The reduction poset below a multisegment: its nodes, and an edge from
+    each node to each of its elementary reductions, which need not be a cover."""
 
     __slots__ = ("nodes", "edges")
 

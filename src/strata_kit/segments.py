@@ -5,7 +5,8 @@ representations) with a dimension and an optional finite twist period e; a
 point is a line and an integer twist exponent, reduced mod e when e is finite.
 A segment [a, b] on a line is the string of consecutive twists a, ..., b,
 stored in absolute coordinates relative to the line's fixed base point, so
-equivalence of segments is structural equality.
+equivalence of segments is structural equality.  A segment is never empty:
+truncating a segment past its start gives None, not a segment.
 """
 
 from __future__ import annotations
@@ -77,28 +78,6 @@ class CuspidalLabel(Value):
         return (self.line.point, (self.twist,))
 
 
-class EmptySegment:
-    """The empty segment; Z of it is the one-dimensional class of the trivial group."""
-
-    _instance: Optional["EmptySegment"] = None
-
-    def __new__(cls) -> "EmptySegment":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    is_empty = True
-
-    def __repr__(self) -> str:
-        return "EmptySegment"
-
-    def to_json(self) -> dict:
-        return {"empty": True}
-
-
-EMPTY_SEGMENT = EmptySegment()
-
-
 class Segment(Keyed):
     """The segment [a, b] on a cuspidal line, with b >= a in absolute twists.
 
@@ -108,8 +87,6 @@ class Segment(Keyed):
     """
 
     __slots__ = ("cuspidal", "a", "b")
-
-    is_empty = False
 
     def __init__(self, cuspidal: Union[CuspidalLine, CuspidalLabel], a: int, b: int) -> None:
         if b < a:
@@ -159,11 +136,8 @@ class Segment(Keyed):
         return {**self.cuspidal.to_json(), "a": self.a, "b": self.b}
 
     @classmethod
-    def from_json(cls, data, where: str = "") -> "SegmentLike":
-        """Decode the object :meth:`to_json` writes, or ``{"empty": true}``;
-        ``where`` is its path."""
-        if expect(data, dict, where).get("empty"):
-            return EMPTY_SEGMENT
+    def from_json(cls, data, where: str = "") -> "Segment":
+        """Decode the object :meth:`to_json` writes; ``where`` is its path."""
         line = CuspidalLine.from_json(data, where)
         a = expect(data.get("a"), int, f"{where}.a")
         return cls(line, a, expect(data.get("b"), int, f"{where}.b"))
@@ -171,14 +145,10 @@ class Segment(Keyed):
 
 _set_cuspidal, _set_a, _set_b = slot_setters(Segment)
 
-SegmentLike = Union[Segment, EmptySegment]
-
 
 def support(seg: Segment) -> Counter:
     """Multiset of (line, reduced twist) points covered by the segment;
     lines of one name but another dim or period share no point."""
-    if seg.is_empty:
-        raise ShapeError("support of the empty segment is undefined")
     c = seg.cuspidal
     return Counter((c, c.reduce(t)) for t in range(seg.a, seg.b + 1))
 
@@ -219,20 +189,12 @@ PRECEDED_BY = Relation(True, False, True, True, False, False, False, False)
 PRECEDED_BY_JUXTAPOSED = Relation(True, False, True, True, True, False, False, True)
 
 
-def linked(s1: Segment, s2: Segment) -> bool:
-    """Whether the two segments are linked: their union is a segment containing
-    neither of them.  Same preconditions as :func:`relate`."""
-    return relate(s1, s2).linked
-
-
 def relate(s1: Segment, s2: Segment) -> Relation:
-    """Relation record for two nonempty segments; infinite-period lines only.
+    """Relation record for two segments; infinite-period lines only.
 
     The record is one of the nine shared values above: segments on two
     lines are apart, and on one line the order of the endpoints decides.
     """
-    if s1.is_empty or s2.is_empty:
-        raise ShapeError("relate is undefined for empty segments")
     c1, c2 = s1.cuspidal, s2.cuspidal
     if c1.period is not None or c2.period is not None:
         raise WraparoundError("linking undefined with wraparound")
@@ -254,12 +216,10 @@ def relate(s1: Segment, s2: Segment) -> Relation:
     return EQUAL if b1 == b2 else CONTAINS if b2 < b1 else CONTAINED_IN
 
 
-def top_minus(seg: Segment, beta: int = 1) -> SegmentLike:
-    """Drop the top beta twists: [a, b] -> [a, b - beta], empty if beta >= length."""
-    if seg.is_empty:
-        raise ShapeError("cannot truncate the empty segment")
+def top_minus(seg: Segment, beta: int = 1) -> Optional[Segment]:
+    """Drop the top beta twists: [a, b] -> [a, b - beta], None if beta >= length."""
     if beta < 1:
         raise ShapeError("beta must be >= 1")
     if beta > seg.length - 1:
-        return EMPTY_SEGMENT
+        return None
     return Segment(seg.cuspidal, seg.a, seg.b - beta)

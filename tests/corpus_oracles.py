@@ -17,15 +17,13 @@ from bisect import bisect_left, insort
 from collections import Counter
 from typing import Optional
 
-from strata_kit.errors import BudgetExceededError, ShapeError, WeightMismatchError, WraparoundError
+from strata_kit.errors import BudgetExceededError, WeightMismatchError, WraparoundError
 from strata_kit.multisegments import DEFAULT_SUPPORT_BOUND, Multisegment
 from strata_kit.partitions import Partition
-from strata_kit.segments import EMPTY_SEGMENT, Relation, Segment
+from strata_kit.segments import Relation, Segment
 
 
 def _check_linkable(s1, s2) -> None:
-    if s1.is_empty or s2.is_empty:
-        raise ShapeError("relate is undefined for empty segments")
     if s1.cuspidal.period is not None or s2.cuspidal.period is not None:
         raise WraparoundError("linking undefined with wraparound")
 
@@ -66,7 +64,7 @@ def relate(s1, s2) -> Relation:
 def _union_and_intersection(s1, s2):
     union = Segment(s1.cuspidal, min(s1.a, s2.a), max(s1.b, s2.b))
     lo, hi = max(s1.a, s2.a), min(s1.b, s2.b)
-    return union, Segment(s1.cuspidal, lo, hi) if lo <= hi else EMPTY_SEGMENT
+    return union, Segment(s1.cuspidal, lo, hi) if lo <= hi else None
 
 
 def elementary_reductions(m: Multisegment) -> set:

@@ -470,6 +470,19 @@ class TestDeterminismAndOutput:
         assert out == ""
         assert target.read_bytes() == b"[1,1]\n"
 
+    @pytest.mark.parametrize("verb", ["lambda", "dual"])
+    def test_empty_entries_print_as_absent(self, capsys, verb):
+        """An entry with a truthy ``empty`` field stands for no segment, whatever
+        else it holds; the other entries keep their document-order paths."""
+        first, second = json.loads(MSEG_PAIR)["segments"]
+        padded = [{"empty": True}, first, {"empty": 1, "line": "r", "a": 5, "b": 2},
+                  {**second, "empty": False}, {"empty": True, "a": "x"}]
+        want = invoke(capsys, verb, MSEG_PAIR)
+        assert want[0] == 0 and want[1]
+        assert invoke(capsys, verb, json.dumps({"segments": padded})) == want
+        bad = json.dumps({"segments": [{"empty": True}, {"line": "r", "a": "x", "b": 0}]})
+        assert invoke(capsys, verb, bad) == (2, "", "error: segments[1].a: expected integer\n")
+
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("STRATAKIT_BUDGET", "0")
         code, _, err = invoke(capsys, "poset", MSEG_PAIR)

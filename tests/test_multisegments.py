@@ -99,7 +99,7 @@ def brute_force_dual_one_line(segs):
         for i, s in enumerate(remaining):
             if i in chain:
                 shorter = top_minus(s)
-                if not shorter.is_empty:
+                if shorter is not None:
                     peeled.append(shorter)
             else:
                 peeled.append(s)
@@ -152,9 +152,7 @@ def all_anchored(max_degree):
 
 class TestMultisegment:
     def test_canonical_storage_and_empty_drop(self):
-        from strata_kit import EMPTY_SEGMENT
-
-        m = Multisegment.of(seg(0, 0), EMPTY_SEGMENT, seg(0, 1))
+        m = Multisegment.of(seg(0, 0), None, seg(0, 1))
         assert m.segments == (seg(0, 1), seg(0, 0))
         assert Multisegment.of(seg(0, 1), seg(0, 0)) == m
 
@@ -303,6 +301,26 @@ class TestDownset:
             p = downset(m)
             lam = lambda_of(m)
             assert [n for n in p.nodes if lambda_of(n) == lam] == [m]
+
+    def test_edges_are_the_reductions_not_the_covers(self):
+        """Each node's out-edges are exactly its elementary reductions, and
+        some of them skip a node of the order between their ends."""
+        edges = skips = 0
+        for m in all_anchored(6):
+            p = downset(m)
+            children = {n: set() for n in p.nodes}
+            for i, j in p.edges:
+                children[p.nodes[i]].add(p.nodes[j])
+            for node, below in children.items():
+                assert below == elementary_reductions(node), node
+                edges += len(below)
+                skips += sum(any(q != c and degenerates_to(q, c) for q in below) for c in below)
+        assert (edges, skips) == (4293, 550)
+        top, middle = mseg((1, 2), (1, 1), (0, 0)), mseg((0, 1), (1, 2))
+        bottom = mseg((0, 2), (1, 1))
+        p = downset(top)
+        assert (p.nodes.index(top), p.nodes.index(bottom)) in p.edges
+        assert middle in elementary_reductions(top) and degenerates_to(middle, bottom)
 
     def test_node_bound(self):
         with pytest.raises(BudgetExceededError):

@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from strata_kit import (
-    EMPTY_SEGMENT,
     CuspidalLabel,
     CuspidalLine,
     Multisegment,
@@ -12,7 +11,6 @@ from strata_kit import (
     ShapeError,
     WraparoundError,
     inertial_class,
-    linked,
     relate,
     top_minus,
 )
@@ -59,7 +57,6 @@ class TestSegment:
     def test_json_round_trip(self):
         s = seg(0, 2, dim=2, period=3)
         assert Segment.from_json(s.to_json()) == s
-        assert Segment.from_json({"empty": True}) is EMPTY_SEGMENT
 
 
 class TestSupport:
@@ -98,8 +95,6 @@ class TestEquivalence:
         s2 = Segment(CuspidalLabel("r", twist=3), -3, -2)
         assert s1 == s2
         assert seg(0, 1) != seg(0, 2)
-        assert EMPTY_SEGMENT == EMPTY_SEGMENT
-        assert s1 != EMPTY_SEGMENT
 
     def test_finite_period_equality_is_equivalence(self):
         s1, s2 = seg(0, 1, period=3), seg(3, 4, period=3)
@@ -146,34 +141,6 @@ class TestRelate:
         with pytest.raises(WraparoundError, match="wraparound"):
             relate(seg(0, 0, period=2), seg(1, 1, period=2))
 
-    def test_linked_matches_relate(self):
-        lines = (("r", 1), ("s", 1), ("r", 2))
-        segs = [
-            seg(a, b, line_id=line_id, dim=dim)
-            for line_id, dim in lines
-            for a in range(-3, 3)
-            for b in range(a, 4)
-        ]
-        for s1, s2 in itertools.product(segs, segs):
-            assert linked(s1, s2) == relate(s1, s2).linked
-
-    @pytest.mark.parametrize(
-        "s1, s2",
-        [
-            (EMPTY_SEGMENT, seg(0, 0)),
-            (seg(0, 0), EMPTY_SEGMENT),
-            (seg(0, 0, period=2), seg(1, 1, period=2)),
-            (seg(0, 0), seg(1, 1, period=2)),
-        ],
-    )
-    def test_linked_raises_like_relate(self, s1, s2):
-        with pytest.raises((ShapeError, WraparoundError)) as want:
-            relate(s1, s2)
-        with pytest.raises(want.type) as got:
-            linked(s1, s2)
-        assert got.type is want.type
-        assert str(got.value) == str(want.value)
-
     def test_precedes_asymmetric(self):
         segs = [seg(a, b) for a in range(-3, 4) for b in range(a, 4)]
         for s1, s2 in itertools.product(segs, segs):
@@ -188,7 +155,7 @@ class TestRelate:
 class TestTruncation:
     def test_top_minus(self):
         assert top_minus(seg(0, 2)) == seg(0, 1)
-        assert top_minus(seg(0, 2), 3) is EMPTY_SEGMENT
+        assert top_minus(seg(0, 2), 3) is None
         assert top_minus(seg(0, 2), 2) == seg(0, 0)
 
     def test_composition(self):
@@ -197,13 +164,11 @@ class TestTruncation:
                 for b1 in range(1, 4):
                     for b2 in range(1, 4):
                         once = top_minus(seg(a, b), b1)
-                        if once.is_empty:
+                        if once is None:
                             continue
                         twice = top_minus(once, b2)
                         assert twice == top_minus(seg(a, b), b1 + b2)
 
     def test_preconditions(self):
-        with pytest.raises(ShapeError):
-            top_minus(EMPTY_SEGMENT)
         with pytest.raises(ShapeError):
             top_minus(seg(0, 1), 0)
