@@ -53,7 +53,6 @@ from .kgroup import (
     expand,
     lemcomp_derivative,
     resolve_pair,
-    total_derivative,
     weirdcase_constituents,
 )
 from .strata import (

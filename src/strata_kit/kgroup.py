@@ -1,9 +1,9 @@
-"""Graded Grothendieck-group bookkeeping for products of segment classes.
+"""Grothendieck-group bookkeeping for products of segment classes.
 
 Classes of irreducible representations are written Z(m) for a multisegment
 m; the empty multisegment denotes the one-dimensional class of the trivial
-group.  A term is a commutative product of such classes; a graded virtual
-element assigns an integer combination of terms to each derivative order.
+group.  A term is a commutative product of such classes, and an element is
+an integer combination of terms.
 
 One table, :func:`expand`, writes each class in the segment classes Z(Δ),
 in which the ring on infinite-period lines is polynomial (Zelevinsky): a
@@ -11,9 +11,10 @@ class is the product of its linked components, and a ladder component is
 Tadić's determinant (Lapid-Mínguez).  Any other component, every class on
 a finite-period line and every unknown derivative stays one opaque atom, as
 do the factors of a product whose expansion would outgrow one ladder's.
-The derivative is the ring homomorphism with D(Z(Δ)) = Z(Δ) + Z(Δ⁻) in
-degree dim Δ, applied to that expansion, and :func:`check_identity`
-decides on the expanded difference.
+The derivative is the ring homomorphism with D(Z(Δ)) = Z(Δ) + Z(Δ⁻), the
+second summand in degree dim Δ, applied to that expansion; an element is one
+of its components D^g, and :func:`check_identity` decides on the expanded
+difference.
 """
 
 from __future__ import annotations
@@ -83,71 +84,47 @@ def _term_str(term: Term) -> str:
 
 
 class GradedVirtual:
-    """A graded Grothendieck-group element: derivative order -> combination of terms.
+    """A Grothendieck-group element: an integer combination of terms.
 
     Elements are values; no method changes one after construction.  The
     constructor makes each term canonical: trivial atoms dropped, the rest
     sorted.
     """
 
-    def __init__(self, layers: Optional[dict] = None) -> None:
-        merged: dict[int, dict[Term, int]] = {}
-        for g, combo in (layers or {}).items():
-            layer = merged.setdefault(g, {})
-            for term, c in combo.items():
-                _add_term(layer, _sorted_term(term), c)
-        self.layers: dict[int, dict[Term, int]] = {g: c for g, c in merged.items() if c}
-
-    def degrees(self) -> list[int]:
-        return sorted(self.layers)
-
-    def layer(self, degree: int) -> dict[Term, int]:
-        return dict(self.layers.get(degree, {}))
-
-    def top_degree(self) -> int:
-        return max(self.layers) if self.layers else 0
+    def __init__(self, terms: Optional[dict] = None) -> None:
+        combo: dict[Term, int] = {}
+        for term, c in (terms or {}).items():
+            _add_term(combo, _sorted_term(term), c)
+        self.terms = combo
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GradedVirtual) and self.layers == other.layers
+        return isinstance(other, GradedVirtual) and self.terms == other.terms
 
     def __str__(self) -> str:
-        if not self.layers:
+        if not self.terms:
             return "0"
-        chunks = []
-        for g in self.degrees():
-            combo = " + ".join(
-                (f"{c}*" if c != 1 else "") + _term_str(t)
-                for t, c in sorted(self.layers[g].items(), key=lambda kv: _term_str(kv[0]))
-            )
-            chunks.append(f"deg {g}: {combo}")
-        return "; ".join(chunks)
+        return " + ".join(
+            (f"{c}*" if c != 1 else "") + _term_str(t)
+            for t, c in sorted(self.terms.items(), key=lambda kv: _term_str(kv[0]))
+        )
 
 
-def _wrap(layers: dict[int, dict[Term, int]]) -> GradedVirtual:
-    """Wrap new layers whose terms are already merged, dropping empty layers."""
+def _wrap(terms: dict[Term, int]) -> GradedVirtual:
+    """Wrap a new combination whose terms are already canonical and merged."""
     out = GradedVirtual.__new__(GradedVirtual)
-    out.layers = layers if all(layers.values()) else {g: c for g, c in layers.items() if c}
+    out.terms = terms
     return out
 
 
-def _add_layers(acc: dict, layers: dict, coeff: int = 1) -> dict:
-    """Add coeff times the graded layers into acc and return acc."""
-    for g, combo in layers.items():
-        layer = acc.setdefault(g, {})
-        for term, c in combo.items():
-            _add_term(layer, term, coeff * c)
+def _add_combo(acc: dict, combo: dict, coeff: int = 1) -> dict:
+    """Add coeff times the combination into acc and return acc."""
+    for term, c in combo.items():
+        _add_term(acc, term, coeff * c)
     return acc
 
 
-def _degree_zero(x: GradedVirtual) -> dict[Term, int]:
-    """The terms of an element that lives in degree 0 only."""
-    if x.layers.keys() - {0}:
-        raise ShapeError(f"expected a degree-0 element, got {x}")
-    return x.layers.get(0, {})
-
-
 def _multiply(acc: dict[Term, int], combos) -> dict[Term, int]:
-    """Add the product of degree-0 combinations into acc and return acc.
+    """Add the product of combinations into acc and return acc.
 
     Each output term is the atoms of one term per factor, sorted once; the
     factors hold canonical terms, so no trivial atom needs dropping.
@@ -162,27 +139,27 @@ def _multiply(acc: dict[Term, int], combos) -> dict[Term, int]:
     return acc
 
 
-def _leibniz(tables, low=0, high=math.inf, limit=math.inf) -> Optional[dict[int, dict[Term, int]]]:
-    """Graded product of derivative tables (the Leibniz rule): each choice of
-    one layer per table with degrees summing to between low and high adds
-    the product of those layers.  Past limit choices, partial choices that
-    pass high or cannot reach low are dropped as they form (no degree is
-    negative), and the result is None if more than limit remain."""
+def _leibniz(tables, degree: int, limit=math.inf) -> Optional[dict[Term, int]]:
+    """One layer of the graded product of derivative tables (the Leibniz
+    rule): each choice of one layer per table with degrees summing to degree
+    adds the product of those layers.  Past limit choices, partial choices
+    that pass degree or cannot reach it are dropped as they form (no degree
+    is negative), and the result is None if more than limit remain."""
     tables = list(tables)
     if math.prod(map(len, tables)) <= limit:
-        choices = [(c, sum(c)) for c in itertools.product(*tables)]
+        choices = [c for c in itertools.product(*tables) if sum(c) == degree]
     else:
         reach = list(itertools.accumulate(map(max, reversed(tables)), initial=0))
-        choices = [((), 0)]
+        partial = [((), 0)]
         for t, rest in zip(tables, reach[-2::-1]):
-            choices = [(c + (d,), s + d) for c, s in choices for d in t
-                       if low <= s + rest + d and s + d <= high]
-            if len(choices) > limit:
+            partial = [(c + (d,), s + d) for c, s in partial for d in t
+                       if degree <= s + rest + d and s + d <= degree]
+            if len(partial) > limit:
                 return None
-    result: dict[int, dict[Term, int]] = {}
-    for degrees, g in choices:
-        if low <= g <= high:
-            _multiply(result.setdefault(g, {}), [t[d] for t, d in zip(tables, degrees)])
+        choices = [c for c, s in partial if s == degree]
+    result: dict[Term, int] = {}
+    for degrees in choices:
+        _multiply(result, [t[d] for t, d in zip(tables, degrees)])
     return result
 
 
@@ -262,49 +239,27 @@ def _segment_table(atom: Multisegment) -> dict[int, dict[Term, int]]:
     return {0: {(atom,): 1}, d.dim: {lower: 1}}
 
 
-def term_derivative(term: Term, degree: Optional[int] = None,
-                    limit: int = MAX_PRODUCTS) -> Optional[GradedVirtual]:
-    """The graded derivative of a product of atoms, or None if unknown.
+def term_derivative(term: Term, degree: int, limit: int = MAX_PRODUCTS) -> Optional[dict[Term, int]]:
+    """The degree-``degree`` derivative component of a product of atoms, as a
+    combination, or None if unknown.
 
     D is the ring homomorphism given by the segment tables, applied to the
     product's expansion.  It is unknown when that holds an opaque atom, or
-    would form more than ``limit`` products.  With ``degree`` given, only
-    that layer is built.
+    would form more than ``limit`` products.
     """
-    low, high = (0, math.inf) if degree is None else (degree, degree)
     expansion = expand(term)
     limit //= len(expansion)
-    acc: dict[int, dict[Term, int]] = {}
+    acc: dict[Term, int] = {}
     for t, coeff in expansion.items():
         if not all(map(_is_segment, t)):
             return None
-        layers = _leibniz(map(_segment_table, t), low, high, limit)
-        if layers is None:
+        layer = _leibniz(map(_segment_table, t), degree, limit)
+        if layer is None:
             return None
         if len(expansion) == 1 and coeff == 1:  # a product of segments
-            return _wrap(layers)
-        _add_layers(acc, layers, coeff)
-    return _wrap(acc)
-
-
-def total_derivative(x: GradedVirtual) -> GradedVirtual:
-    """All graded derivative components of a degree-0 element.
-
-    Raises ShapeError when some term has a class with no known derivative,
-    or one that would form more than its even share of MAX_PRODUCTS products.
-    """
-    combo = _degree_zero(x)
-    share = MAX_PRODUCTS // (len(combo) or 1)
-    acc: dict[int, dict[Term, int]] = {}
-    for term, coeff in combo.items():
-        graded = term_derivative(term, limit=share)
-        if graded is None:
-            if not all(all(map(_is_segment, t)) for t in expand(term)):
-                raise ShapeError(f"no known derivative of {_term_str(term)}")
-            raise ShapeError(f"derivative of {_term_str(term)} would form more than {share} "
-                             f"products, its share of {MAX_PRODUCTS} among {len(combo)} terms")
-        _add_layers(acc, graded.layers, coeff)
-    return _wrap(acc)
+            return layer
+        _add_combo(acc, layer, coeff)
+    return acc
 
 
 def resolve_pair(d1: Segment, d2: Segment) -> list[Multisegment]:
@@ -355,42 +310,43 @@ def weirdcase_constituents(alpha: int, delta: Segment) -> list[Multisegment]:
 
 
 def ZClass(m: Multisegment) -> GradedVirtual:
-    """The class Z(m) of the irreducible with multisegment m, in degree 0."""
-    return _wrap({0: {(m,) if m._key else (): 1}})
+    """The class Z(m) of the irreducible with multisegment m."""
+    return _wrap({(m,) if m._key else (): 1})
 
 
 def SegmentProduct(segments) -> GradedVirtual:
-    """The product Z(Δ1)...Z(Δk) of segment classes, one term in degree 0."""
+    """The product Z(Δ1)...Z(Δk) of segment classes, as one term."""
     atoms = [Multisegment.from_sorted((s,)) for s in segments]
-    return _wrap({0: {tuple(sorted(atoms, key=_atom_key)): 1}})
+    return _wrap({tuple(sorted(atoms, key=_atom_key)): 1})
 
 
 def ProductExpr(factors) -> GradedVirtual:
-    """The graded product of elements (the Leibniz rule over their layers).
+    """The product of elements, each choice of one term per factor multiplied
+    out once.
 
     Raises ShapeError, before multiplying, when that would form more than
     MAX_PRODUCTS products of terms.
     """
-    tables = [f.layers for f in factors]
-    count = math.prod(sum(map(len, t.values())) for t in tables)
+    combos = [f.terms for f in factors]
+    count = math.prod(map(len, combos))
     if count > MAX_PRODUCTS:
-        raise ShapeError(f"product of {len(tables)} factors would form {count} terms, "
+        raise ShapeError(f"product of {len(combos)} factors would form {count} terms, "
                          f"more than {MAX_PRODUCTS}")
-    return _wrap(_leibniz(tables))
+    return _wrap(_multiply({}, combos))
 
 
 def SumExpr(terms) -> GradedVirtual:
-    """The sum of elements, degree by degree."""
+    """The sum of elements."""
     terms = iter(terms)
     first = next(terms, None)
-    acc = {g: dict(combo) for g, combo in first.layers.items()} if first is not None else {}
+    acc = dict(first.terms) if first is not None else {}
     for x in terms:
-        _add_layers(acc, x.layers)
+        _add_combo(acc, x.terms)
     return _wrap(acc)
 
 
 def DerivativeExpr(degree: int, inner: GradedVirtual) -> GradedVirtual:
-    """The degree-g derivative component of a degree-0 element, in degree 0.
+    """The degree-g derivative component of an element.
 
     Terms with a class of unknown derivative become opaque placeholder atoms,
     which later force an "unverifiable" verdict rather than a guess; so does
@@ -399,17 +355,16 @@ def DerivativeExpr(degree: int, inner: GradedVirtual) -> GradedVirtual:
     """
     if degree < 0:
         raise ShapeError(f"derivative order must be >= 0, got {degree}")
-    combo = _degree_zero(inner)
     if degree == 0:
         return inner
-    share = MAX_PRODUCTS // (len(combo) or 1)
-    acc: dict[int, dict[Term, int]] = {}
-    for term, coeff in combo.items():
-        graded = term_derivative(term, degree, share)
-        if graded is None:
-            graded = _wrap({degree: {(OpaqueDerivative(_term_str(term), degree),): 1}})
-        _add_layers(acc, graded.layers, coeff)
-    return _wrap({0: acc.get(degree, {})})
+    share = MAX_PRODUCTS // (len(inner.terms) or 1)
+    acc: dict[Term, int] = {}
+    for term, coeff in inner.terms.items():
+        layer = term_derivative(term, degree, share)
+        if layer is None:
+            layer = {(OpaqueDerivative(_term_str(term), degree),): 1}
+        _add_combo(acc, layer, coeff)
+    return _wrap(acc)
 
 
 class Verdict(Value):
@@ -477,24 +432,17 @@ def check_identity(lhs: GradedVirtual, rhs: GradedVirtual) -> Verdict:
     """Decide an identity on the expanded difference of its sides; never guesses.
 
     Every term of the difference is expanded by :func:`expand`.  The result
-    is "verified" when the expansion is zero in every degree, with opaque
-    atoms as free symbols; "refuted" at the lowest degree where a coefficient
-    is nonzero and no opaque term can cancel it; and otherwise
-    "unverifiable", naming the smallest undecided term at the lowest nonzero
-    degree.
+    is "verified" when the expansion is zero, with opaque atoms as free
+    symbols; "refuted" when a coefficient is nonzero and no opaque term can
+    cancel it; and otherwise "unverifiable", naming the smallest undecided
+    term.  Every element lives in degree 0, the degree a verdict names.
     """
-    diff = _add_layers({g: dict(combo) for g, combo in lhs.layers.items()}, rhs.layers, -1)
-    reason = None
-    for g in sorted(diff):
-        combo: dict[Term, int] = {}
-        for term, coeff in diff[g].items():
-            for t2, c2 in expand(term).items():
-                _add_term(combo, t2, coeff * c2)
-        if not combo:
-            continue
-        undecided = _undecided(combo)
-        if undecided is None:
-            return Verdict("refuted", witness_degree=g)
-        if reason is None:
-            reason = f"undecomposed product remains at degree {g}: {undecided}"
-    return Verdict("verified") if reason is None else Verdict("unverifiable", reason=reason)
+    combo: dict[Term, int] = {}
+    for term, coeff in _add_combo(dict(lhs.terms), rhs.terms, -1).items():
+        _add_combo(combo, expand(term), coeff)
+    if not combo:
+        return Verdict("verified")
+    undecided = _undecided(combo)
+    if undecided is None:
+        return Verdict("refuted", witness_degree=0)
+    return Verdict("unverifiable", reason=f"undecomposed product remains at degree 0: {undecided}")

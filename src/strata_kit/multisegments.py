@@ -179,10 +179,12 @@ class Poset(Value):
         self._init(nodes, edges)
 
     def to_dot(self) -> str:
+        """The poset in DOT, each label a quoted string: a backslash or a
+        double quote in a line's name is escaped."""
         lines = ["digraph downset {"]
         for i, node in enumerate(self.nodes):
-            lam = lambda_of(node)
-            lines.append(f'  n{i} [label="{node} | λ={lam}"];')
+            label = f"{node} | λ={lambda_of(node)}".replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{i} [label="{label}"];')
         for i, j in self.edges:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")

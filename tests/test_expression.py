@@ -31,7 +31,7 @@ class TestParseExpression:
 
     def test_named_line_and_negatives(self):
         expr = parse_expression("Z[-2,-1;sigma]")
-        ((atom,),) = expr.layer(0)
+        ((atom,),) = expr.terms
         (seg,) = atom.segments
         assert (seg.a, seg.b, seg.line_id) == (-2, -1, "sigma")
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,7 +24,6 @@ from strata_kit import (
     relate,
     resolve_pair,
     top_minus,
-    total_derivative,
     weirdcase_constituents,
 )
 from strata_kit.expression import parse_expression, parse_identity
@@ -37,7 +37,7 @@ from strata_kit.kgroup import (
     term_derivative,
 )
 
-from conftest import mseg, seg
+from conftest import anchored, mseg, seg
 
 
 def term_of(*pairs):
@@ -48,42 +48,40 @@ def product(*segments):
     return ProductExpr(ZClass(Multisegment.of(s)) for s in segments)
 
 
+def layers(x):
+    """The nonzero components D^g(x) of an element, by degree g, up to the
+    largest degree of its terms, past which every known component is zero."""
+    high = max((sum(s.degree for a in t for s in a.segments) for t in x.terms), default=0)
+    return {g: d.terms for g in range(high + 1) if (d := DerivativeExpr(g, x)).terms}
+
+
 class TestTotalDerivative:
+    """The components D^g of the derivative, read one degree at a time."""
+
     def test_single_segment(self):
-        gv = total_derivative(product(seg(0, 1)))
-        assert gv.layer(0) == {(mseg((0, 1)),): 1}
-        assert gv.layer(1) == {(mseg((0, 0)),): 1}
-        assert gv.degrees() == [0, 1]
+        assert layers(product(seg(0, 1))) == {0: {(mseg((0, 1)),): 1}, 1: {(mseg((0, 0)),): 1}}
 
     def test_cuspidal(self):
-        gv = total_derivative(product(seg(0, 0)))
-        assert gv.layer(1) == {(): 1}
+        assert DerivativeExpr(1, product(seg(0, 0))).terms == {(): 1}
 
     def test_leibniz_pair(self):
-        gv = total_derivative(product(seg(0, 1), seg(0, 0)))
-        assert gv.layer(0) == {term_of((0, 1), (0, 0)): 1}
-        assert gv.layer(1) == {term_of((0, 0), (0, 0)): 1, (mseg((0, 1)),): 1}
-        assert gv.layer(2) == {(mseg((0, 0)),): 1}
+        assert layers(product(seg(0, 1), seg(0, 0))) == {
+            0: {term_of((0, 1), (0, 0)): 1},
+            1: {term_of((0, 0), (0, 0)): 1, (mseg((0, 1)),): 1},
+            2: {(mseg((0, 0)),): 1},
+        }
 
     def test_dim_scaling(self):
-        gv = total_derivative(product(seg(0, 1, dim=2)))
-        assert gv.degrees() == [0, 2]
-
-    def test_unknown_class_raises(self):
-        with pytest.raises(ShapeError, match="no known derivative"):
-            total_derivative(ZClass(mseg((0, 2), (1, 1), (2, 3))))
-        with pytest.raises(ShapeError, match="degree-0 element"):
-            total_derivative(total_derivative(product(seg(0, 1))))
+        assert list(layers(product(seg(0, 1, dim=2)))) == [0, 2]
 
     def test_top_degree_is_lambda_one(self):
         pool = [seg(a, b) for a in range(3) for b in range(a, 3)]
         for r in range(1, 4):
             for combo in itertools.combinations_with_replacement(pool, r):
                 m = Multisegment.of(*combo)
-                gv = total_derivative(product(*combo))
-                assert gv.top_degree() == lambda_of(m).part(1)
-                assert len(gv.layer(gv.top_degree())) == 1
-                assert list(gv.layer(gv.top_degree()).values()) == [1]
+                top, layer = max(layers(product(*combo)).items())
+                assert top == lambda_of(m).part(1)
+                assert list(layer.values()) == [1]
 
     def test_iterated_tops_reproduce_lambda(self):
         factors = (seg(0, 2), seg(1, 1), seg(0, 1))
@@ -91,18 +89,21 @@ class TestTotalDerivative:
         parts = []
         current = list(factors)
         while current:
-            gv = total_derivative(product(*current))
-            top = gv.top_degree()
+            top, layer = max(layers(product(*current)).items())
             parts.append(top)
-            (term,) = gv.layer(top)
+            (term,) = layer
             current = [s for atom in term for s in atom.segments]
         assert Partition(tuple(parts)) == lambda_of(m)
 
 
 def top_layer(m):
-    """The top degree of D(Z(m)) and its layer there."""
-    gv = total_derivative(ZClass(m))
-    return gv.top_degree(), GradedVirtual({0: gv.layer(gv.top_degree())})
+    """The top degree of D(Z(m)) and its component there: the highest g, at
+    most the degree of m, with D^g(Z(m)) nonzero."""
+    x = ZClass(m)
+    for g in range(sum(s.degree for s in m.segments), -1, -1):
+        layer = DerivativeExpr(g, x)
+        if layer.terms:
+            return g, layer
 
 
 class TestHighestDerivative:
@@ -287,9 +288,9 @@ class TestCheckIdentity:
             assert check_identity(lhs, rhs).verified
 
     def test_graded_virtual_sides(self):
-        left = total_derivative(product(seg(0, 1), seg(0, 0)))
-        right = total_derivative(product(seg(0, 0), seg(0, 1)))
-        assert check_identity(left, right).verified
+        left, right = product(seg(0, 1), seg(0, 0)), product(seg(0, 0), seg(0, 1))
+        for g in range(4):
+            assert check_identity(DerivativeExpr(g, left), DerivativeExpr(g, right)).verified
 
 
 def _seg_text(line, a, b):
@@ -364,13 +365,14 @@ pair_atom_st = st.one_of(
 @settings(deadline=None)
 @given(product_st, st.lists(pair_atom_st, max_size=2))
 def test_derivative_entry_points_agree(segs, pairs):
-    """D^g(x) is layer g of total_derivative(x), the zero element above its
-    top degree, and the parser builds x itself.
+    """D^g(x) is layer g of the Leibniz rule applied by hand to the segment
+    tables of x written in segment classes, the zero element above its top
+    degree, and the parser builds x itself.
 
-    Layer 0 of total_derivative writes each atom in segment classes: an
-    unlinked atom as the product of its segments, and the composition shape
-    {[c,c],[a,c-1]} as its determinant Z[c,c]*Z[a,c-1] - Z[a,c], so layer 0 is
-    compared with x written that way.
+    Layer 0 of term_derivative writes the term in segment classes, as expand
+    does: an unlinked atom as the product of its segments, and the
+    composition shape {[c,c],[a,c-1]} as its determinant Z[c,c]*Z[a,c-1] -
+    Z[a,c], so it is compared with x written that way.
     """
     def atom(p):
         return ZClass(Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in p)))
@@ -379,7 +381,7 @@ def test_derivative_entry_points_agree(segs, pairs):
         (line, c, _), (_, a, _) = p
         return SumExpr([
             ProductExpr([atom([q]) for q in p]),
-            GradedVirtual({0: {(Multisegment.of(seg(a, c, line_id=line)),): -1}}),
+            GradedVirtual({(Multisegment.of(seg(a, c, line_id=line)),): -1}),
         ])
 
     x = ProductExpr([atom([t]) for t in segs] + [atom(p) for _, p in pairs])
@@ -391,13 +393,18 @@ def test_derivative_entry_points_agree(segs, pairs):
     texts = ["Z" + _seg_text(*t) for t in segs]
     texts += ["Z{%s}" % ",".join(_seg_text(*t) for t in p) for _, p in pairs]
     assert parse_expression("*".join(texts)) == x
-    total = total_derivative(x)
-    top = total.top_degree()
-    assert top == len(segs) + 2 * len(pairs)
     assert DerivativeExpr(0, x) == x
-    assert GradedVirtual({0: total.layer(0)}) == split
+    ((term, coeff),) = x.terms.items()
+    assert coeff == 1 and term_derivative(term, 0) == expand(term) == split.terms
+    expected: dict = {}
+    for t, c in split.terms.items():
+        for g, combo in _stepwise_leibniz(map(_segment_table, t)).items():
+            for t2, c2 in combo.items():
+                _add_term(expected.setdefault(g, {}), t2, c * c2)
+    top = max(g for g, combo in expected.items() if combo)
+    assert top == len(segs) + 2 * len(pairs)
     for g in range(1, top + 3):
-        assert DerivativeExpr(g, x) == GradedVirtual({0: total.layer(g)})
+        assert DerivativeExpr(g, x) == GradedVirtual(expected.get(g, {}))
     assert str(DerivativeExpr(top + 1, x)) == "0"
 
 
@@ -407,7 +414,7 @@ def test_lines_of_one_name_and_two_dims_give_one_term():
     b = ZClass(Multisegment.of(Segment(CuspidalLabel("r", 2), 0, 0)))
     x, y = ProductExpr([a, b]), ProductExpr([b, a])
     assert x == y
-    ((term, coeff),) = SumExpr([x, y]).layer(0).items()
+    ((term, coeff),) = SumExpr([x, y]).terms.items()
     assert (len(term), coeff) == (2, 2)
 
 
@@ -440,12 +447,19 @@ def test_constructor_makes_terms_canonical(atoms, data):
     """A term given in any order, or with trivial atoms, is stored canonically,
     so products with it equal those of the canonical term."""
     given_term = tuple(data.draw(st.permutations(atoms))) + (Multisegment(),)
-    x = GradedVirtual({0: {given_term: 1}})
-    assert x.layers == {0: {_sorted_term(atoms): 1}}
-    one = GradedVirtual({0: {(Multisegment(),): 1}})
-    assert one == GradedVirtual({0: {(): 1}})
+    x = GradedVirtual({given_term: 1})
+    assert x.terms == {_sorted_term(atoms): 1}
+    one = GradedVirtual({(Multisegment(),): 1})
+    assert one == GradedVirtual({(): 1})
     assert ProductExpr([one, x]) == ProductExpr([x, one]) == x
-    assert SumExpr([x, GradedVirtual({0: {tuple(atoms): -1}})]) == GradedVirtual()
+    assert SumExpr([x, GradedVirtual({tuple(atoms): -1})]) == GradedVirtual()
+
+
+def _segment_table(atom):
+    """D(Z[a,b]) = Z[a,b] + Z[a,b-1], the second layer in degree dim."""
+    (d,) = atom.segments
+    lower = top_minus(d)
+    return {0: {(atom,): 1}, d.dim: {(Multisegment.of(lower),) if lower else (): 1}}
 
 
 def _stepwise_leibniz(tables):
@@ -468,16 +482,22 @@ def _multisegment(segs):
     return Multisegment.of(*(seg(a, a + n, line_id=line) for line, a, n in segs))
 
 
+def _derivative_table(atom):
+    """The nonzero layers term_derivative builds for one atom, by degree."""
+    high = sum(s.degree for s in atom.segments)
+    return {g: layer for g in range(high + 1) if (layer := term_derivative((atom,), g))}
+
+
 # (line, start, length - 1) of a segment.
 _segment_st = st.tuples(st.sampled_from("rs"), st.integers(-2, 3), st.integers(0, 2))
 # Derivative tables of atoms, and tables of signed combinations of any terms,
 # whose products can cancel.
 table_st = st.one_of(
-    _segment_st.map(lambda s: term_derivative((_multisegment([s]),)).layers),
+    _segment_st.map(lambda s: _derivative_table(_multisegment([s]))),
     pair_atom_st.map(
-        lambda atom: term_derivative(
-            (Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in atom[1])),)
-        ).layers
+        lambda atom: _derivative_table(
+            Multisegment.of(*(seg(a, b, line_id=line) for line, a, b in atom[1]))
+        )
     ),
     st.dictionaries(
         st.integers(0, 3),
@@ -491,22 +511,16 @@ table_st = st.one_of(
 @given(st.lists(table_st, max_size=4))
 def test_leibniz_builds_exactly_the_asked_for_layer(tables):
     """Each layer of the product, built alone, is that layer of the stepwise
-    expansion; without a degree, every layer is."""
+    expansion, also when partial choices are pruned past a limit."""
     expected = _stepwise_leibniz(tables)
-
-    def nonzero(layers):
-        return {g: combo for g, combo in layers.items() if combo}
-
-    assert nonzero(_leibniz(iter(tables))) == expected
+    size = math.prod(map(len, tables))
     for g in range(max(expected, default=0) + 2):
-        layers = nonzero(_leibniz(tables, g, g))
-        assert layers.keys() <= {g}
-        assert layers.get(g, {}) == expected.get(g, {})
+        layer = _leibniz(iter(tables), g)
+        assert layer == expected.get(g, {})
         # Past the limit, partial choices are pruned, or the product given up.
-        size = math.prod(map(len, tables))
         for limit in {1, size // 2, max(size - 1, 0)}:
-            limited = _leibniz(tables, g, g, limit)
-            assert limited is None or nonzero(limited) == layers
+            limited = _leibniz(tables, g, limit)
+            assert limited is None or limited == layer
 
 
 # K-group expressions from the grammar, each drawn with the element the public
@@ -550,7 +564,7 @@ _node_st = st.recursive(
 @example(("D^3(Z[0,0]) + D^2(Z[1,1]*Z{})", GradedVirtual(), True))
 @example(("((Z[0,0;s]))*D^1(Z{[0,2],[1,1],[2,3]})", ProductExpr([
     ZClass(mseg((0, 0), line_id="s")),
-    GradedVirtual({0: {(OpaqueDerivative("Z{[2,3]_r,[0,2]_r,[1,1]_r}", 1),): 1}}),
+    GradedVirtual({(OpaqueDerivative("Z{[2,3]_r,[0,2]_r,[1,1]_r}", 1),): 1}),
 ]), False))
 @given(_node_st)
 def test_parser_builds_what_the_constructors_build(node):
@@ -608,7 +622,7 @@ class TestExpand:
         assert expand((m,)) == {(m,): 1}
         assert check_identity(ZClass(m), product(*m.segments)).status == "unverifiable"
         unknown = OpaqueDerivative(f"Z{m}", 1)
-        assert DerivativeExpr(1, ZClass(m)) == GradedVirtual({0: {(unknown,): 1}})
+        assert DerivativeExpr(1, ZClass(m)) == GradedVirtual({(unknown,): 1})
 
     def test_many_short_ladders_stay_opaque_together(self):
         """A class of k unlinked two-segment ladders has 2^k expanded terms;
@@ -619,7 +633,7 @@ class TestExpand:
         assert len(expand((Multisegment(m.segments[:18]),))) == 2 ** 9
         assert check_identity(ZClass(m), ProductExpr(map(ZClass, ladders))).verified
         assert str(check_identity(ZClass(m), ZClass(mseg((0, 0))))) == "refuted at degree 0"
-        (term,) = DerivativeExpr(1, ZClass(m)).layer(0)
+        (term,) = DerivativeExpr(1, ZClass(m)).terms
         assert isinstance(term[0], OpaqueDerivative)
 
     def test_product_of_two_longest_ladders_stays_opaque(self):
@@ -631,15 +645,15 @@ class TestExpand:
             assert expand(_sorted_term([a, b])) == {_sorted_term([a, b]): 1}
             assert check_identity(x, ZClass(a.union(b))).verified
             assert str(check_identity(x, ZClass(mseg((0, 0))))) == "refuted at degree 0"
-            (term,) = DerivativeExpr(1, x).layer(0)
+            (term,) = DerivativeExpr(1, x).terms
             assert isinstance(term[0], OpaqueDerivative)
 
     def test_large_derivatives_stay_unknown(self):
         """A derivative layer is built from at most 720 * 2^6 products, the
         complete derivative of one longest ladder; a larger one is unknown."""
         points = product(*(seg(2 * i, 2 * i) for i in range(18)))
-        assert len(DerivativeExpr(1, points).layer(0)) == 18
-        (term,) = DerivativeExpr(9, points).layer(0)
+        assert len(DerivativeExpr(1, points).terms) == 18
+        (term,) = DerivativeExpr(9, points).terms
         assert isinstance(term[0], OpaqueDerivative)
         ladders = [mseg((10 * i, 10 * i + 1), (10 * i + 1, 10 * i + 2)) for i in range(9)]
         m = ZClass(Multisegment([s for ladder in ladders for s in ladder.segments]))
@@ -648,7 +662,7 @@ class TestExpand:
             for y in ladders
         )
         assert check_identity(DerivativeExpr(1, m), leibniz).verified
-        (term,) = DerivativeExpr(9, m).layer(0)
+        (term,) = DerivativeExpr(9, m).terms
         assert isinstance(term[0], OpaqueDerivative)
 
     def test_products_of_sums_are_bounded_before_multiplying(self):
@@ -660,7 +674,7 @@ class TestExpand:
                     for i in range(n)]
 
         x = ProductExpr(sums(14))
-        assert len(x.layer(0)) == 2 ** 14
+        assert len(x.terms) == 2 ** 14
         assert str(check_identity(x, ZClass(mseg((0, 0))))) == "refuted at degree 0"
         with pytest.raises(ShapeError, match="^product of 16 factors would form 65536 terms, "
                                              "more than 46080$"):
@@ -675,33 +689,17 @@ class TestExpand:
         so a term past its share stays unknown, while the same term alone
         is differentiated."""
         alone = product(*(seg(3 * i, 3 * i) for i in range(10)))
-        assert len(DerivativeExpr(5, alone).layer(0)) == math.comb(10, 5)
+        assert len(DerivativeExpr(5, alone).terms) == math.comb(10, 5)
         pairs = ProductExpr(
             SumExpr([product(seg(3 * i, 3 * i)), product(seg(3 * i + 1, 3 * i + 1))])
             for i in range(10)
         )
-        layer = DerivativeExpr(5, pairs).layer(0)
+        layer = DerivativeExpr(5, pairs).terms
         assert len(layer) == 2 ** 10
         assert all(isinstance(term[0], OpaqueDerivative) for term in layer)
         # D^1 drops one factor's singleton, either of its two.
-        layer = DerivativeExpr(1, pairs).layer(0)
+        layer = DerivativeExpr(1, pairs).terms
         assert len(layer) == 10 * 2 ** 9 and set(layer.values()) == {2}
-
-    def test_total_derivative_shares_the_limit_across_a_combination(self):
-        """Each of the 2^n terms of a product of n two-term sums may form
-        46 080 / 2^n products and forms 2^n: 7 sums fit, 8 do not."""
-
-        def pairs(n):
-            return ProductExpr(
-                SumExpr([product(seg(3 * i, 3 * i)), product(seg(3 * i + 1, 3 * i + 1))])
-                for i in range(n)
-            )
-
-        total = total_derivative(pairs(7))
-        assert sum(map(len, total.layers.values())) == 3 ** 7 == 2187
-        with pytest.raises(ShapeError, match=r"^derivative of Z\{\[0,0\]_r\} \* .* would form "
-                           r"more than 180 products, its share of 46080 among 256 terms$"):
-            total_derivative(pairs(8))
 
 
 @pytest.mark.parametrize("shift", range(7))
@@ -741,6 +739,28 @@ def test_ladder_highest_derivatives_reproduce_lambda():
         assert Partition(tuple(parts)) == lambda_of(ladder), ladder
         checked += 1
     assert checked == 1204
+
+
+def highest_derivative_outcome(m) -> str:
+    """Whether D^{lambda_1}(Z(m)) is verified equal to Z(m minus its top
+    twists) and D^{lambda_1 + 1}(Z(m)) is 0 ("holds"), or not ("fails"), or
+    whether the derivative is an opaque ?D ("opaque")."""
+    top = lambda_of(m).part(1)
+    layer = DerivativeExpr(top, ZClass(m))
+    if any(isinstance(a, OpaqueDerivative) for term in layer.terms for a in term):
+        return "opaque"
+    lower = ZClass(Multisegment(top_minus(s) for s in m.segments))
+    holds = check_identity(layer, lower).verified and str(DerivativeExpr(top + 1, ZClass(m))) == "0"
+    return "holds" if holds else "fails"
+
+
+def test_highest_derivative_of_every_small_anchored_multisegment():
+    """The highest-derivative theorem on every one-line multisegment of
+    degree <= 6 anchored at twist 0: it holds wherever the canonical form
+    knows the derivative, and the 612 classes with a component that is
+    neither a segment nor a ladder keep an opaque ?D."""
+    outcomes = Counter(map(highest_derivative_outcome, anchored(6)))
+    assert outcomes == {"holds": 677, "opaque": 612}
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -809,7 +829,7 @@ def test_status_invariant_under_shift_and_renaming(segs, g, sign, shift, names):
             ZClass(Multisegment.of(segment(*row[:3], drop=row[5])))
             for row in segs if row[5] is not None
         ]
-        coeff = GradedVirtual({0: {(): sign}})
+        coeff = GradedVirtual({(): sign})
         v = check_identity(sides[0], SumExpr([sides[1], ProductExpr([coeff, *extra])]))
         return v.status, v.witness_degree
 

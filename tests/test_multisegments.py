@@ -333,6 +333,12 @@ class TestDownset:
         assert text.startswith("digraph")
         assert "->" in text
 
+    def test_dot_escapes_line_names(self):
+        """A label is a quoted DOT string, so a backslash or a double quote
+        in a line's name is escaped."""
+        m = Multisegment.of(Segment(CuspidalLabel('r"x\\'), 0, 1))
+        assert downset(m).to_dot().splitlines()[1] == r'  n0 [label="{[0,1]_r\"x\\} | λ=(1,1)"];'
+
 
 class TestMwDual:
     def test_examples(self):

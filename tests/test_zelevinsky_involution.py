@@ -9,7 +9,6 @@ the singleton classes of each product, independently of the peeling, and
 ``check_identity`` compares it with Z(mw_dual(m)).
 """
 
-import itertools
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -22,19 +21,11 @@ from strata_kit import (
     SumExpr,
     ZClass,
     check_identity,
-    enumerate_with_support,
     expand,
     mw_dual,
 )
 
-
-def anchored(max_degree):
-    """Every one-line multisegment whose support is d twists in [0, d - 1]
-    containing 0, for d <= max_degree."""
-    for d in range(1, max_degree + 1):
-        for twists in itertools.combinations_with_replacement(range(d), d):
-            if twists[0] == 0:
-                yield from enumerate_with_support([CuspidalLabel("r", twist=t) for t in twists])
+from conftest import anchored
 
 
 def singletons(s):
