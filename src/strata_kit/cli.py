@@ -42,8 +42,9 @@ from .strata import (
 )
 
 BUDGET_ENV_VAR = "STRATAKIT_BUDGET"
-# The most parts that ``lambda`` and points that ``dual`` may print; it
-# admits one segment of 100 001 twists.
+# The most parts that ``lambda``, points that ``dual`` and variable names
+# that ``strata`` and ``ring`` may print; it admits one segment of 100 001
+# twists.
 DEFAULT_OUTPUT_BOUND = 200_000
 
 # A JSON string, or a bracket outside strings.
@@ -162,9 +163,8 @@ def _render(args, payload) -> str:
     return _dumps(payload)
 
 
-def _check_output(args, size: int, what: str) -> None:
+def _check_output(bound: int, size: int, what: str) -> None:
     """Refuse, before any work, an output of ``size`` past the bound."""
-    bound = _budget(args, DEFAULT_OUTPUT_BOUND)
     if size > bound:
         raise BudgetExceededError(f"output size bound {bound} exceeded: {what}")
 
@@ -172,14 +172,15 @@ def _check_output(args, size: int, what: str) -> None:
 def _cmd_lambda(args) -> None:
     m = _load_multisegment(args.input)
     parts = max((s.length for s in m.segments), default=0)
-    _check_output(args, parts, f"the partition would have {parts} parts")
+    _check_output(_budget(args, DEFAULT_OUTPUT_BOUND), parts,
+                  f"the partition would have {parts} parts")
     _emit(args, _render(args, lambda_of(m).to_json()))
 
 
 def _cmd_dual(args) -> None:
     m = _load_multisegment(args.input)
     points = sum(s.length for s in m.segments)
-    _check_output(args, points, f"the support has {points} points")
+    _check_output(_budget(args, DEFAULT_OUTPUT_BOUND), points, f"the support has {points} points")
     _emit(args, _render(args, mw_dual(m).to_json()))
 
 
@@ -195,6 +196,18 @@ def _cmd_poset(args) -> None:
 def _cmd_strata(args) -> None:
     block = BlockSpec.from_json(expect(_load_json(args.block), dict, "--block"))
     lam = Partition.from_json(expect(_load_json(args.lam), list, "--lambda"))
+    if lam.weight == block.n and block.infinite_period:
+        # A class with k_i segments of length l on line i, where
+        # sum(dim_i * k_i) = c_l = lam_l - lam_(l+1), names k_i variables
+        # in each of the k_i generators of that orbit.  By Cauchy-Schwarz,
+        # sum(k_i ** 2) >= c_l ** 2 / sum(dim_i ** 2).
+        parts = lam.parts + (0,)
+        squares = sum((p - q) ** 2 for p, q in zip(parts, parts[1:]))
+        names = -(-squares // sum(line.dim ** 2 for line in block.lines))
+        # The budget bounds the class count first, far below this bound by
+        # default, so here it can only raise the bound.
+        _check_output(max(_budget(args, 0), DEFAULT_OUTPUT_BOUND), names,
+                      f"each class would print at least {names} variable names")
     report = components(block, lam, bound=_budget(args, DEFAULT_COMPONENT_BOUND))
     _emit(args, _render(args, report.to_json()))
 
@@ -207,7 +220,11 @@ def _cmd_ring(args) -> None:
         m = Multisegment.from_json(data)
     else:
         raise InputError("expected an inertial class or multisegment object")
-    _emit(args, _render(args, ring_presentation(inertial_class(m)).to_json()))
+    cls = inertial_class(m)
+    names = sum(k * k for k in cls.orbit_sizes)  # k generators of k variables per orbit
+    _check_output(_budget(args, DEFAULT_OUTPUT_BOUND), names,
+                  f"the presentation would print at least {names} variable names")
+    _emit(args, _render(args, ring_presentation(cls).to_json()))
 
 
 def _cmd_ext(args) -> None:
@@ -293,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("ring", help="invariant-ring presentation of a component")
     p.add_argument("--class", dest="cls", required=True, help="class or multisegment JSON")
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_ring)
 
     p = subs.add_parser("ext", help="Ext dimensions [C(r,i)]")

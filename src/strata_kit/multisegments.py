@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import Counter
-from itertools import chain, groupby, product
-from operator import attrgetter
+from itertools import accumulate, chain, groupby, product
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, InputError, ShapeError, WraparoundError, expect
@@ -123,17 +123,13 @@ def degree(m: Multisegment) -> int:
 
 def lambda_of(m: Multisegment) -> Partition:
     """Highest derivative partition: part i sums the dims of segments of length >= i."""
-    dims_by_length: dict[int, int] = {}
+    dims: list[int] = []  # dims[n]: the dims of the segments of length n + 1
     for s in m.segments:
-        n = s.b - s.a + 1
-        dims_by_length[n] = dims_by_length.get(n, 0) + s.cuspidal.dim
-    parts = []
-    total = 0
-    for i in range(max(dims_by_length, default=0), 0, -1):
-        total += dims_by_length.get(i, 0)
-        parts.append(total)
-    parts.reverse()
-    return Partition(parts)
+        n = s.b - s.a
+        if n >= len(dims):
+            dims += [0] * (n + 1 - len(dims))
+        dims[n] += s.cuspidal.dim
+    return Partition(list(accumulate(reversed(dims)))[::-1])
 
 
 def elementary_reductions(m: Multisegment) -> set[Multisegment]:
@@ -255,15 +251,27 @@ def _dual_one_line(segs: list[Segment]) -> list[Segment]:
     one and whose starts strictly decrease; the twist interval of the
     chain's ends becomes a segment of the dual, and each chain member
     loses its top twist.  The starts are kept sorted in buckets by end, and
-    the segments arrive in key order, so each bucket arrives sorted and the
-    top end only falls.  Each chain step is one bisection: the member taken
-    at end f - 1 is the largest start below the one taken at f, so the
-    truncated member [start, f - 1] takes its place in that bucket.
+    the segments arrive in key order, so each bucket is one run of equal
+    ends, already sorted, and the top end only falls.  Each chain step is
+    one bisection: the member taken at end f - 1 is the largest start below
+    the one taken at f, so the truncated member [start, f - 1] takes its
+    place in that bucket.  The dual comes out in key order too, so one walk
+    through the given segments finds each dual segment equal to one of
+    them, which is then that same object, as is a repeat of the segment
+    just emitted.
     """
     line = segs[0].cuspidal
     starts: dict[int, list[int]] = {}
+    end = None
     for s in segs:
-        starts.setdefault(s.b, []).append(s.a)
+        if s.b == end:
+            bucket.append(s.a)
+        else:
+            end = s.b
+            bucket = starts[end] = [s.a]
+    given = iter(segs)
+    g: Optional[Segment] = next(given)
+    last: Optional[Segment] = None
     top = segs[0].b
     out: list[Segment] = []
     while starts:
@@ -290,7 +298,11 @@ def _dual_one_line(segs: list[Segment]) -> list[Segment]:
                     del starts[f - 1]
             start = taken
             f -= 1
-        out.append(Segment(line, f, top))
+        if last is None or last.a != f or last.b != top:
+            while g is not None and (g.b > top or g.b == top and g.a < f):
+                g = next(given, None)
+            last = g if g is not None and g.b == top and g.a == f else Segment(line, f, top)
+        out.append(last)
     return out
 
 
@@ -363,9 +375,10 @@ def inertial_class(m: Multisegment) -> InertialClass:
     return InertialClass(Multisegment(Segment(s.cuspidal, 0, s.length - 1) for s in m.segments))
 
 
-def _one_line(line: CuspidalLine, twists: list[int]) -> list[tuple[Segment, ...]]:
+def _one_line(line: CuspidalLine, twists: list[int]) -> list[tuple[tuple[Segment, ...], str]]:
     """Every multisegment on one line with exactly the given multiset of
-    twists, each as its segments in key order.
+    twists, each as its segments in key order and their names joined by
+    commas.
 
     The first is every point as its own segment.  The next comes from the
     last segment [a, b] that can start one lower: at a - 1 there is a free
@@ -378,27 +391,34 @@ def _one_line(line: CuspidalLine, twists: list[int]) -> list[tuple[Segment, ...]
     free = [0] * (max(twists) - lo + 1)
     for t in twists:
         free[t - lo] += 1
-    # The segments the support allows, each built once: seg[b][a] is the
-    # segment from offset a to offset b.
+    # The segments the support allows, each built and named once: seg[b][a]
+    # is the segment from offset a to offset b, and name[b][a] its str.
     seg: list[list[Optional[Segment]]] = []
+    name: list[list[str]] = []
     for b in range(len(free)):
         row: list[Optional[Segment]] = [None] * (b + 1)
+        names = [""] * (b + 1)
         a = b
         while a >= 0 and free[a]:
             row[a] = Segment(line, lo + a, lo + b)
+            names[a] = str(row[a])
             a -= 1
         seg.append(row)
+        name.append(names)
     picked: list[Segment] = []  # in key order
-    out: list[tuple[Segment, ...]] = []
+    picked_names: list[str] = []
+    out: list[tuple[tuple[Segment, ...], str]] = []
     b = len(free) - 1
     while True:
         for t in range(b, -1, -1):
             if free[t]:
                 picked += [seg[t][t]] * free[t]
+                picked_names += [name[t][t]] * free[t]
                 free[t] = 0
-        out.append(tuple(picked))
+        out.append((tuple(picked), ",".join(picked_names)))
         while picked:
             s = picked.pop()
+            picked_names.pop()
             a, b = s.a - lo, s.b - lo
             for u in range(a, b + 1):
                 free[u] += 1
@@ -410,12 +430,14 @@ def _one_line(line: CuspidalLine, twists: list[int]) -> list[tuple[Segment, ...]
         for u in range(a, b + 1):
             free[u] -= 1
         picked.append(seg[b][a])
+        picked_names.append(name[b][a])
 
 
 def enumerate_with_support(
     points: Iterable[CuspidalLabel], bound: int = DEFAULT_SUPPORT_BOUND
 ) -> list[Multisegment]:
-    """All multisegments whose support is exactly the given multiset of twists."""
+    """All multisegments whose support is exactly the given multiset of
+    twists, sorted by ``str``: the joined segment names are that string."""
     pts = list(points)
     if len(pts) > bound:
         raise BudgetExceededError(
@@ -429,5 +451,10 @@ def enumerate_with_support(
         twists.setdefault(p.line._key, (p.line, []))[1].append(p.twist)
     # A multisegment is one choice per line, with the lines in key order.
     per_line = [_one_line(line, ts) for _, (line, ts) in sorted(twists.items())]
-    return sorted((Multisegment.from_sorted(chain.from_iterable(parts))
-                   for parts in product(*per_line)), key=str)
+    named = [
+        ("{" + ",".join(n for _, n in parts) + "}",
+         Multisegment.from_sorted(chain.from_iterable(segs for segs, _ in parts)))
+        for parts in product(*per_line)
+    ]
+    named.sort(key=itemgetter(0))
+    return [m for _, m in named]

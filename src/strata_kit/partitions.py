@@ -21,11 +21,13 @@ class Partition(Keyed):
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         parts = tuple(parts)
-        for i, p in enumerate(parts):
+        last = parts[0] if parts else 0
+        for p in parts:  # the first faulty part words the error
             if p < 1:
                 raise ShapeError(f"partition parts must be positive, got {p}")
-            if i > 0 and parts[i - 1] < p:
+            if last < p:
                 raise ShapeError(f"partition parts must be weakly decreasing: {parts}")
+            last = p
         _set_parts(self, parts)
         set_key(self, parts)
 

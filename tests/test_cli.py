@@ -327,11 +327,55 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "dual", one)
         assert (code, len(json.loads(out)["segments"])) == (0, 100001)
 
+    def test_strata_and_ring_output_bound(self, capsys, monkeypatch):
+        """Refused before any work past the default bound, which a budget
+        raises; ``strata``'s budget bounds its class count too, so a budget
+        below the default leaves its output bound at the default."""
+        def block(n):
+            return ["--block", json.dumps({"lines": [{"line": "r"}], "n": n}),
+                    "--lambda", f"[{n}]"]
+        copies = json.dumps({"segments": [{"line": "r", "a": 0, "b": 0}] * 448})
+        suffix = " (raise it with --budget or STRATAKIT_BUDGET)\n"
+        assert invoke(capsys, "strata", *block(500)) == (1, "", (
+            "error: output size bound 200000 exceeded: "
+            "each class would print at least 250000 variable names" + suffix))
+        assert invoke(capsys, "ring", "--class", copies) == (1, "", (
+            "error: output size bound 200000 exceeded: "
+            "the presentation would print at least 200704 variable names" + suffix))
+        code, out, _ = invoke(capsys, "strata", *block(500), "--budget", "250000")
+        assert (code, len(json.loads(out)["components"][0]["ring"]["generators"])) == (0, 500)
+        code, out, _ = invoke(capsys, "strata", *block(447), "--budget", "1")
+        assert (code, json.loads(out)["components"][0]["ring"]["dimension"]) == (0, 447)
+        code, out, _ = invoke(capsys, "ring", "--class", copies, "--budget", "200704")
+        assert (code, json.loads(out)["dimension"]) == (0, 448)
+        monkeypatch.setenv("STRATAKIT_BUDGET", "250000")
+        assert invoke(capsys, "strata", *block(500))[0] == 0
+        assert invoke(capsys, "ring", "--class", MSEG_PAIR, "--budget", "3")[0] == 1
+
+    def test_strata_output_bound_counts_dims_and_every_length(self, capsys):
+        """The count is sum(c_l ** 2) / sum(dim ** 2) rounded up, with c_l the
+        dim-weighted count of segments of length l; a stratum that ends in
+        another error first is not counted."""
+        lines = [{"line": "r", "dim": 1}, {"line": "s", "dim": 2}]
+        argv = ["strata", "--block", json.dumps({"lines": lines, "n": 1002}),
+                "--lambda", "[1001,1]"]
+        # (1000 ** 2 + 1 ** 2) / (1 + 4) = 200 000.2
+        assert invoke(capsys, *argv) == (1, "", (
+            "error: output size bound 200000 exceeded: each class would print at least"
+            " 200001 variable names (raise it with --budget or STRATAKIT_BUDGET)\n"))
+        for block, message in [
+            ({"lines": lines, "n": 5}, "incomparable weights"),
+            ({"lines": [{"line": "r", "period": 3}], "n": 1002}, "wraparound"),
+        ]:
+            code, out, err = invoke(capsys, "strata", "--block", json.dumps(block),
+                                    "--lambda", "[1001,1]")
+            assert (code, out) == (1, "") and message in err and "output" not in err
+
     @pytest.mark.parametrize("argv", [
         ["poset", MSEG_01], ["poset", MSEG_PAIR], ["poset", "not json"],
         ["enumerate", "--support", '[["r",0]]'],
         ["strata", "--block", '{"lines":[{"line":"r"}],"n":2}', "--lambda", "[2]"],
-        ["lambda", MSEG_01], ["dual", MSEG_01],
+        ["lambda", MSEG_01], ["dual", MSEG_01], ["ring", "--class", MSEG_PAIR],
     ])
     def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch, argv):
         """Refused before any work, whatever the input and from either source."""
@@ -445,7 +489,7 @@ class TestExitCodes:
         [
             ["lambda", MSEG_01, "--dot"],
             ["dual", MSEG_01, "--dot"],
-            ["ring", "--class", MSEG_PAIR, "--budget", "3"],
+            ["ring", "--class", MSEG_PAIR, "--dot"],
             ["ext", "--r", "3", "--budget", "3"],
             ["kgroup-check", "Z[0,0] = Z[0,0]", "--budget", "1"],
             ["kgroup-check", "Z[0,0] = Z[0,0]", "--format", "table"],

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from strata_kit import (
     BudgetExceededError,
     CuspidalLabel,
+    CuspidalLine,
     Multisegment,
     Partition,
     Segment,
@@ -26,6 +27,7 @@ from strata_kit import (
 from strata_kit import segments
 
 import corpus_oracles as oracle
+from conftest import anchored
 
 # r at dims 1 and 2 are two lines of one name; s sorts after both.
 LINES = (("r", 1), ("r", 2), ("s", 1))
@@ -96,6 +98,40 @@ def test_enumerate_with_support_agrees_with_the_oracle(points):
     got = enumerate_with_support(points)
     assert got == oracle.enumerate_with_support(points)
     assert [repr(m) for m in got] == [repr(m) for m in oracle.enumerate_with_support(points)]
+
+
+# The second line of a join, in turn: one that sorts before r, one of r's
+# name at dim 2, which prints alike, and one that sorts after r.
+SECOND_LINES = (CuspidalLine("q"), CuspidalLine("r", 2), CuspidalLine("s"))
+
+
+def test_dual_and_enumerator_agree_on_every_small_anchored_multisegment():
+    """Every one-line multisegment anchored at twist 0 of degree <= 7, alone
+    and joined with a segment on a second line: the dual equals the
+    oracle's in value and repr and is an involution, and on each support
+    the enumerator equals the oracle's, already sorted by ``str``."""
+    by_support: dict = {}
+    for m in anchored(7):
+        twists = tuple(sorted(t for _, t in m.support().elements()))
+        by_support.setdefault(twists, []).append(m)
+    assert (len(by_support), sum(map(len, by_support.values()))) == (1275, 6200)
+    for i, (twists, ms) in enumerate(by_support.items()):
+        start = i % 4 - 1
+        extra = Segment(SECOND_LINES[i % 3], start, start + i % 2)
+        points = [CuspidalLabel("r", twist=t) for t in twists]
+        joined = [m.union(Multisegment.of(extra)) for m in ms]
+        for got, want in ((points, ms), (points + [extra.cuspidal.point(t)
+                                                    for t in range(start, extra.b + 1)], joined)):
+            every = enumerate_with_support(got)
+            assert every == oracle.enumerate_with_support(got), twists
+            names = [str(m) for m in every]
+            assert names == sorted(names)
+            assert set(want) <= set(every)
+        for m in ms + joined:
+            dual = mw_dual(m)
+            assert dual == oracle.mw_dual(m), m
+            assert repr(dual) == repr(oracle.mw_dual(m)), m
+            assert mw_dual(dual) == m, m
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,7 @@
 """Idioms kept out of the package: ``sum(xs, ())`` and a ``+=`` loop on a
-name bound to ``()`` concatenate tuples in time quadratic in their count."""
+name bound to ``()`` concatenate tuples in time quadratic in their count, and
+a cache from ``functools`` keeps values past the call that made them (tables
+live for one call only)."""
 
 import ast
 from pathlib import Path
@@ -45,6 +47,24 @@ def growing_tuples(tree) -> list[int]:
     return sorted(lines)
 
 
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def caches(tree) -> list[int]:
+    """The line of every mention of a ``functools`` cache, by its name or as
+    an attribute, such as ``@lru_cache(8)``, ``@functools.cache`` or
+    ``from functools import cached_property``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in CACHES \
+                or isinstance(node, ast.Attribute) and node.attr in CACHES:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools" \
+                and any(alias.name in CACHES for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def package_findings(check) -> list[tuple[str, int]]:
     """(file, line) of every finding of ``check`` in the package."""
     return [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
@@ -57,6 +77,29 @@ def test_no_sum_concatenates_tuples():
 
 def test_no_tuple_grows_by_augmented_assignment():
     assert package_findings(growing_tuples) == []
+
+
+def test_no_cache():
+    assert package_findings(caches) == []
+
+
+def test_the_check_finds_the_cache():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, reduce\n"      # line 2
+        "from functools import cached_property as cp\n"  # line 3
+        "@functools.cache\n"                              # line 4
+        "def f(x): return x\n"
+        "@lru_cache(maxsize=8)\n"                         # line 6
+        "def g(x): return x\n"
+        "class C:\n"
+        "    @functools.cached_property\n"                # line 9
+        "    def h(self): return 1\n"
+        "table = {}\n"
+        "reduce(max, [1])\n"
+        "def cache_key(x): return x\n"
+    )
+    assert caches(ast.parse(source)) == [2, 3, 4, 6, 9]
 
 
 def test_the_check_finds_the_idiom():

@@ -28,6 +28,20 @@ class TestPartition:
         with pytest.raises(ShapeError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize("parts,message", [
+        ((3, 0, 4), "partition parts must be positive, got 0"),
+        ((1, 2, 0), "partition parts must be weakly decreasing: (1, 2, 0)"),
+        ((5, 4, 4, -1), "partition parts must be positive, got -1"),
+        ((5, 4, 4, 6, 0), "partition parts must be weakly decreasing: (5, 4, 4, 6, 0)"),
+        ((0,), "partition parts must be positive, got 0"),
+    ])
+    def test_the_first_fault_words_the_error(self, parts, message):
+        """The error names the first faulty part in order, even past the
+        first pair, whichever check it fails."""
+        with pytest.raises(ShapeError) as info:
+            Partition(parts)
+        assert str(info.value) == message
+
     def test_weight_length_part(self):
         lam = Partition.of(3, 2)
         assert lam.weight == 5
